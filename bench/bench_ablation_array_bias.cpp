@@ -8,6 +8,7 @@
 #include <iostream>
 
 #include "harness.hpp"
+#include "ingest_helpers.hpp"
 
 using namespace djvm;
 using namespace djvm::bench;
@@ -20,9 +21,6 @@ int main() {
   cfg.threads = 3;
   cfg.oal_transfer = OalTransfer::kLocalOnly;
   Djvm djvm(cfg);
-  // Observational record tap: the naive-replay column below rewrites the
-  // logged entries, which needs materialized records alongside the fold.
-  djvm.gos().set_record_tap(true);
   djvm.spawn_threads_round_robin(cfg.threads);
 
   auto& reg = djvm.registry();
@@ -41,25 +39,25 @@ int main() {
     djvm.read(2, big);
     djvm.barrier_all();
   }
-  djvm.pump_daemon();
+  // The raw OAL stream, read off the ingest hub (the daemon is never
+  // pumped: both columns fold the same logs the way its build_full would).
+  const std::vector<OalArena> logs = drain_hub(*djvm.ingest_hub());
 
   // Amortized (the paper's scheme): entry bytes = sampled elements x size,
   // HT-weighted back to the true array sizes.
-  const SquareMatrix amortized = djvm.daemon().build_full();
+  const SquareMatrix amortized = fold_map(logs, cfg.threads, /*weighted=*/true);
 
-  // Naive whole-array logging: replay the same records but substitute each
+  // Naive whole-array logging: replay the same logs but substitute each
   // array's FULL size as the logged bytes, unweighted (what a scheme without
   // amortization would accrue).
-  std::vector<IntervalRecord> naive_records;
-  for (const IntervalRecord& r : djvm.gos().drain_records()) {
-    IntervalRecord n = r;
-    for (OalEntry& e : n.entries) {
+  std::vector<OalArena> naive_logs = logs;
+  for (OalArena& log : naive_logs) {
+    for (OalEntry& e : log.entries) {
       e.bytes = djvm.heap().meta(e.obj).size_bytes;
       e.gap = 1;
     }
-    naive_records.push_back(std::move(n));
   }
-  const SquareMatrix naive = TcmBuilder::build(naive_records, cfg.threads, false);
+  const SquareMatrix naive = fold_map(naive_logs, cfg.threads, /*weighted=*/false);
 
   TextTable t({"Scheme", "TCM(T1,T2)", "TCM(T2,T3)", "(T2,T3)/(T1,T2) ratio"});
   auto ratio = [](const SquareMatrix& m) {

@@ -9,33 +9,37 @@
 #include <iostream>
 
 #include "harness.hpp"
+#include "ingest_helpers.hpp"
 
 using namespace djvm;
 using namespace djvm::bench;
 
 namespace {
 
-std::vector<IntervalRecord> synth_records(std::uint32_t objects,
-                                          std::uint32_t threads,
-                                          std::uint32_t readers_per_object) {
-  // Every object read by `readers_per_object` consecutive threads.
-  std::vector<IntervalRecord> records(threads);
-  for (ThreadId t = 0; t < threads; ++t) {
-    records[t].thread = t;
-    records[t].interval = 0;
-  }
+std::vector<OalArena> synth_logs(std::uint32_t objects, std::uint32_t threads,
+                                 std::uint32_t readers_per_object) {
+  // Every object read by `readers_per_object` consecutive threads; one
+  // interval per thread.
+  std::vector<std::vector<OalEntry>> entries(threads);
   for (ObjectId o = 0; o < objects; ++o) {
     for (std::uint32_t r = 0; r < readers_per_object; ++r) {
       const ThreadId t = static_cast<ThreadId>((o + r) % threads);
-      records[t].entries.push_back(OalEntry{o, 0, 64, 1});
+      entries[t].push_back(OalEntry{o, 0, 64, 1});
     }
   }
-  return records;
+  std::vector<OalArena> logs;
+  for (ThreadId t = 0; t < threads; ++t) {
+    logs.push_back(interval_log(t, std::move(entries[t])));
+  }
+  return logs;
 }
 
-double time_build(const std::vector<IntervalRecord>& records, std::uint32_t threads) {
+double time_build(const std::vector<OalArena>& logs, std::uint32_t threads) {
   const auto t0 = std::chrono::steady_clock::now();
-  const SquareMatrix tcm = TcmBuilder::build(records, threads);
+  ArenaScratch scratch;
+  const ReaderArena readers =
+      TcmBuilder::reorganize_arena(logs, /*weighted=*/true, scratch);
+  const SquareMatrix tcm = TcmBuilder::accrue_sparse(readers, threads).densify();
   const double dt =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
   (void)tcm;
@@ -51,7 +55,7 @@ int main() {
   TextTable tm({"M (objects)", "Build time (ms)"});
   for (std::uint32_t m : {10000u, 20000u, 40000u, 80000u, 160000u}) {
     tm.add_row({TextTable::cell(std::uint64_t{m}),
-                TextTable::cell(time_build(synth_records(m, 16, 4), 16) * 1e3, 2)});
+                TextTable::cell(time_build(synth_logs(m, 16, 4), 16) * 1e3, 2)});
   }
   tm.print(std::cout);
 
@@ -60,7 +64,7 @@ int main() {
   TextTable tn({"N (threads)", "Build time (ms)"});
   for (std::uint32_t n : {4u, 8u, 16u, 32u, 64u}) {
     tn.add_row({TextTable::cell(std::uint64_t{n}),
-                TextTable::cell(time_build(synth_records(40000, n, n), n) * 1e3, 2)});
+                TextTable::cell(time_build(synth_logs(40000, n, n), n) * 1e3, 2)});
   }
   tn.print(std::cout);
 

@@ -9,6 +9,7 @@
 #include <iostream>
 
 #include "harness.hpp"
+#include "ingest_helpers.hpp"
 #include "profiling/accuracy.hpp"
 #include "profiling/distributed_tcm.hpp"
 
@@ -35,27 +36,33 @@ int main() {
   cfg.oal_transfer = OalTransfer::kLocalOnly;
   RunOutput out;
   out.djvm = std::make_unique<Djvm>(cfg);
-  // Observational record tap: the reduction pipeline consumes materialized
-  // IntervalRecords, which the arena ingest path no longer produces.
-  out.djvm->gos().set_record_tap(true);
   out.djvm->spawn_threads_round_robin(cfg.threads);
   out.workload = barnes_hut_spec(4096, 3).make();
   out.metrics = execute_workload(*out.djvm, *out.workload);
-  out.djvm->pump_daemon();
-  const std::vector<IntervalRecord> records = out.djvm->gos().drain_records();
+  // The raw OAL stream, read off the ingest hub (the daemon is never
+  // pumped: both schemes below consume these logs).
+  const std::vector<OalArena> logs = drain_hub(*out.djvm->ingest_hub());
+  const std::vector<const OalArena*> ptrs = log_ptrs(logs);
 
   std::uint64_t raw_oal_bytes = 0;
+  std::size_t slices = 0;
   std::size_t entries = 0;
-  for (const IntervalRecord& r : records) {
-    raw_oal_bytes += r.wire_bytes();
-    entries += r.entries.size();
+  for (const OalArena& log : logs) {
+    raw_oal_bytes += log.wire_bytes();
+    slices += log.intervals.size();
+    entries += log.entries.size();
   }
-  std::cout << records.size() << " interval records, " << entries << " entries ("
+  std::cout << slices << " interval slices, " << entries << " entries ("
             << raw_oal_bytes / 1024 << " KB raw OAL wire volume)\n\n";
 
+  // Centralized: one coordinator reorganizes every log and accrues the
+  // merged reader lists in one shot.
   SquareMatrix central, dist;
-  const double t_central =
-      time_seconds([&] { central = TcmBuilder::build(records, cfg.threads, true); });
+  const double t_central = time_seconds([&] {
+    ArenaScratch scratch;
+    const ReaderArena readers = TcmBuilder::reorganize_arena(logs, true, scratch);
+    central = TcmBuilder::accrue_sparse(readers, cfg.threads).densify();
+  });
 
   TextTable t({"Scheme", "Coordinator time (ms)", "Reduction traffic (KB)",
                "ABS distance to centralized"});
@@ -66,11 +73,13 @@ int main() {
   // accrual phases land on the coordinator.
   for (unsigned workers : {1u, 2u, 4u, 8u}) {
     Network net(cfg.costs);
-    auto partials = DistributedTcmReducer::local_reduce(records, true);
-    NodePartial merged;
+    ArenaScratch scratch;
+    auto partials = DistributedTcmReducer::local_reduce_csr(ptrs, true, scratch);
+    NodeCsrPartial merged;
     const double dt = time_seconds([&] {
-      merged = DistributedTcmReducer::tree_reduce(std::move(partials), &net);
-      dist = DistributedTcmReducer::accrue_parallel(merged.summaries, cfg.threads,
+      merged = DistributedTcmReducer::tree_reduce_csr(std::move(partials), &net,
+                                                      scratch);
+      dist = DistributedTcmReducer::accrue_parallel(merged.arena, cfg.threads,
                                                     workers);
     });
     t.add_row({"Tree-reduce, " + std::to_string(workers) + " shard(s)",

@@ -1,9 +1,10 @@
 // Ingest transport at thread scale: real producer threads handing closed
 // intervals to one consumer through (a) the legacy transport — one
-// heap-materialized IntervalRecord per interval pushed into a shared batch
-// vector under a mutex, the seed's records_/submit() hand-off made
-// thread-safe the obvious way — and (b) the lock-free path — per-thread OAL
-// arenas published over SPSC rings (profiling/ingest.hpp).
+// heap-materialized record per interval pushed into a shared batch vector
+// under a mutex, the seed's per-record hand-off made thread-safe the obvious
+// way (the record type is local to this bench) — and (b) the lock-free
+// path — per-thread OAL arenas published over SPSC rings
+// (profiling/ingest.hpp).
 //
 // The timed section is the transport itself (producer hand-off + consumer
 // drain, including the legacy side's per-record frees), not the TCM fold,
@@ -33,6 +34,7 @@
 #include <vector>
 
 #include "harness.hpp"
+#include "ingest_helpers.hpp"
 #include "profiling/accuracy.hpp"
 #include "profiling/correlation_daemon.hpp"
 #include "profiling/ingest.hpp"
@@ -79,11 +81,22 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-/// Legacy transport (kept as the bench baseline after submit()'s
-/// retirement): materialize a record per interval, lock, push.
+/// The legacy transport's unit: one closed interval's OAL in its own heap
+/// vector, the per-interval record the seed handed to the daemon.
+struct LegacyRecord {
+  ThreadId thread = kInvalidThread;
+  IntervalId interval = 0;
+  NodeId node = kInvalidNode;
+  std::uint32_t start_pc = 0;
+  std::uint32_t end_pc = 0;
+  std::vector<OalEntry> entries;
+};
+
+/// Legacy transport (kept as the bench baseline after its retirement):
+/// materialize a record per interval, lock, push.
 double run_legacy(const Shape& shape, std::uint64_t& entries_out) {
   std::mutex mu;
-  std::vector<IntervalRecord> shared;
+  std::vector<LegacyRecord> shared;
   std::atomic<std::uint32_t> live{kProducers};
   std::uint64_t drained = 0;
 
@@ -99,7 +112,7 @@ double run_legacy(const Shape& shape, std::uint64_t& entries_out) {
       for (std::uint64_t i = 0; i < shape.intervals_per_producer; ++i) {
         const std::span<const OalEntry> oal =
             interval_slice(shape, streams[p], i);
-        IntervalRecord r;
+        LegacyRecord r;
         r.thread = p;
         r.interval = i;
         r.node = static_cast<NodeId>(p);
@@ -112,13 +125,13 @@ double run_legacy(const Shape& shape, std::uint64_t& entries_out) {
       live.fetch_sub(1, std::memory_order_release);
     });
   }
-  std::vector<IntervalRecord> local;
+  std::vector<LegacyRecord> local;
   auto drain = [&] {
     {
       std::lock_guard<std::mutex> lock(mu);
       local.swap(shared);
     }
-    for (const IntervalRecord& r : local) drained += r.entries.size();
+    for (const LegacyRecord& r : local) drained += r.entries.size();
     local.clear();  // per-record frees: the flip side of the per-record mallocs
   };
   while (live.load(std::memory_order_acquire) != 0) {
@@ -135,7 +148,7 @@ double run_legacy(const Shape& shape, std::uint64_t& entries_out) {
 /// Lock-free transport: arena append, SPSC publish, pop + recycle.
 double run_ring(const Shape& shape, std::uint64_t& entries_out,
                 IngestCounters& counters_out) {
-  IngestConfig cfg;
+  IngestKnobs cfg;
   cfg.arena_entries = 4096;
   cfg.ring_depth = 8;
   IngestHub hub(cfg);
@@ -222,8 +235,8 @@ double map_error() {
   constexpr std::uint32_t kThreads = 8;
   CorrelationDaemon via_roomy(plan, kThreads);
   CorrelationDaemon via_splitty(plan, kThreads);
-  IngestConfig roomy;  // default 4096-entry arenas: no interval ever splits
-  IngestConfig splitty;
+  IngestKnobs roomy;  // default 4096-entry arenas: no interval ever splits
+  IngestKnobs splitty;
   splitty.arena_entries = 64;  // force splits and many arenas
   splitty.ring_depth = 2;
   IngestHub roomy_hub(roomy);
@@ -232,25 +245,21 @@ double map_error() {
   splitty_hub.ensure_lanes(kThreads);
 
   for (std::uint64_t epoch = 0; epoch < 4; ++epoch) {
-    std::vector<IntervalRecord> batch;
+    std::vector<OalArena> batch;
     for (ThreadId t = 0; t < kThreads; ++t) {
       for (std::uint64_t i = 0; i < 50; ++i) {
-        IntervalRecord r;
-        r.thread = t;
-        r.interval = epoch * 50 + i;
-        r.node = static_cast<NodeId>(t % 3);
+        std::vector<OalEntry> entries;
         for (std::uint64_t e = 0; e < 5 + (t + i) % 4; ++e) {
-          r.entries.push_back({(epoch + t + i * 3 + e) % 96, klass, 64,
-                               1 + static_cast<std::uint32_t>(e % 2)});
+          entries.push_back({(epoch + t + i * 3 + e) % 96, klass, 64,
+                             1 + static_cast<std::uint32_t>(e % 2)});
         }
-        batch.push_back(std::move(r));
+        batch.push_back(interval_log(t, std::move(entries),
+                                     static_cast<NodeId>(t % 3), epoch * 50 + i));
       }
     }
-    for (const IntervalRecord& r : batch) {
-      roomy_hub.append(r.thread, r.thread, r.interval, r.node, r.start_pc,
-                       r.end_pc, r.entries);
-      splitty_hub.append(r.thread, r.thread, r.interval, r.node, r.start_pc,
-                         r.end_pc, r.entries);
+    for (const OalArena& log : batch) {
+      append_slices(roomy_hub, log);
+      append_slices(splitty_hub, log);
     }
     via_roomy.ingest(roomy_hub);
     via_splitty.ingest(splitty_hub);

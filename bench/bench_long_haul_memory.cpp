@@ -20,6 +20,7 @@
 
 #include "common/rng.hpp"
 #include "harness.hpp"
+#include "ingest_helpers.hpp"
 #include "profiling/tcm.hpp"
 
 using namespace djvm;
@@ -30,28 +31,30 @@ namespace {
 constexpr std::uint32_t kThreads = 16;
 constexpr int kEpochs = 150;
 constexpr std::uint64_t kWindow = 2000;   // fresh object ids per epoch
-constexpr int kRecordsPerEpoch = 200;
-constexpr int kEntriesPerRecord = 20;
+constexpr int kIntervalsPerEpoch = 200;
+constexpr int kEntriesPerInterval = 20;
 constexpr std::uint32_t kIdleEpochs = 4;
 constexpr double kDecay = 0.0;  // drop outright (decay>0 only delays the drop)
 
-std::vector<IntervalRecord> epoch_batch(int epoch) {
+/// One epoch's OAL batch: kIntervalsPerEpoch intervals, one arena each.
+std::vector<OalArena> epoch_batch(int epoch) {
   SplitMix64 rng(0xC0FFEE ^ static_cast<std::uint64_t>(epoch));
-  std::vector<IntervalRecord> out;
+  std::vector<OalArena> out;
   const ObjectId base = static_cast<ObjectId>(epoch) * kWindow;
-  for (int r = 0; r < kRecordsPerEpoch; ++r) {
-    IntervalRecord rec;
-    rec.thread = static_cast<ThreadId>(rng.next_below(kThreads));
-    rec.interval = static_cast<IntervalId>(epoch * kRecordsPerEpoch + r);
-    for (int e = 0; e < kEntriesPerRecord; ++e) {
+  for (int r = 0; r < kIntervalsPerEpoch; ++r) {
+    const auto thread = static_cast<ThreadId>(rng.next_below(kThreads));
+    std::vector<OalEntry> entries;
+    for (int e = 0; e < kEntriesPerInterval; ++e) {
       OalEntry entry;
       entry.obj = base + rng.next_below(kWindow);
       entry.klass = 0;
       entry.bytes = static_cast<std::uint32_t>(16 + rng.next_below(240));
       entry.gap = static_cast<std::uint32_t>(1 + rng.next_below(8));
-      rec.entries.push_back(entry);
+      entries.push_back(entry);
     }
-    out.push_back(std::move(rec));
+    out.push_back(interval_log(
+        thread, std::move(entries), kInvalidNode,
+        static_cast<IntervalId>(epoch * kIntervalsPerEpoch + r)));
   }
   return out;
 }
@@ -84,10 +87,10 @@ PhaseResult run_phase(bool retention) {
   return out;
 }
 
-/// Reference map over the records retention keeps: windows young enough to
+/// Reference map over the intervals retention keeps: windows young enough to
 /// survive the final compact (age = kEpochs - epoch < kIdleEpochs).
 SquareMatrix live_reference() {
-  std::vector<IntervalRecord> live;
+  std::vector<OalArena> live;
   for (int epoch = 0; epoch < kEpochs; ++epoch) {
     if (kEpochs - epoch < static_cast<int>(kIdleEpochs)) {
       auto batch = epoch_batch(epoch);

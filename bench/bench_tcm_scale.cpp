@@ -1,7 +1,9 @@
 // TCM construction at scale: dense-from-scratch vs the incremental sparse
 // accumulator, swept over threads x objects x reader skew.
 //
-// Protocol per sweep point: a profiling run delivers B record batches; after
+// Protocol per sweep point: a profiling run delivers B OAL batches (one
+// interval per thread, each a one-slice arena, built before any clock
+// starts); after
 // each batch the master wants the whole-run correlation map fresh (what
 // CorrelationDaemon::build_full feeds the balancer).  The dense-from-scratch
 // pipeline (`TcmBuilder::build_reference`, the seed's hash-map reorganize +
@@ -15,19 +17,19 @@
 // equality check must stay within 1e-9.
 //
 // A separate arena-scale phase stretches to 256 threads x 1M objects — the
-// regime the lock-free ingest path exists for — with the records packed into
-// fixed 4096-entry OalArenas (the ingest hand-off unit).  The per-batch
+// regime the lock-free ingest path exists for — with the batches re-packed
+// into fixed 4096-entry OalArenas (the ingest hand-off unit).  The per-batch
 // dense rebuild protocol is deliberately not run there (it is the very
 // O(run-so-far) wall the sweep above already prices); instead the phase
 // gates that both arena consumers — the incremental fold
-// (TcmAccumulator::add(OalArena)) and the one-shot CSR pipeline
+// (TcmAccumulator::add, one arena per call) and the one-shot CSR pipeline
 // (DistributedTcmReducer::build) — match one final build_reference to 1e-9.
 #include <chrono>
 #include <cstdio>
-#include <memory>
 #include <vector>
 
 #include "harness.hpp"
+#include "ingest_helpers.hpp"
 #include "profiling/accuracy.hpp"
 #include "profiling/distributed_tcm.hpp"
 #include "profiling/ingest.hpp"
@@ -47,32 +49,30 @@ struct SweepPoint {
 /// plus an occasional second (neighbour exchange).  Byte values are stable
 /// across batches except every 16th object, whose observed size keeps
 /// growing — exercising the accumulator's max-combining update path.
-std::vector<std::vector<IntervalRecord>> make_batches(const SweepPoint& p) {
+std::vector<std::vector<OalArena>> make_batches(const SweepPoint& p) {
   const ObjectId hot = std::max<ObjectId>(1, p.objects / 1000);
-  std::vector<std::vector<IntervalRecord>> batches(
-      static_cast<std::size_t>(p.batches));
+  std::vector<std::vector<OalArena>> batches(static_cast<std::size_t>(p.batches));
   IntervalId next_interval = 0;
   for (int b = 0; b < p.batches; ++b) {
-    std::vector<IntervalRecord>& recs = batches[static_cast<std::size_t>(b)];
-    recs.resize(p.threads);
-    for (ThreadId t = 0; t < p.threads; ++t) {
-      recs[t].thread = t;
-      recs[t].node = static_cast<NodeId>(t % 8);
-      recs[t].interval = next_interval++;
-    }
+    std::vector<std::vector<OalEntry>> oal(p.threads);
     for (ObjectId o = 0; o < p.objects; ++o) {
       const std::uint32_t grow = (o % 16 == 0) ? static_cast<std::uint32_t>(b) : 0u;
       const OalEntry e{o, /*klass=*/0,
                        /*bytes=*/8 + static_cast<std::uint32_t>(o % 61) + grow,
                        /*gap=*/1 + static_cast<std::uint32_t>(o % 7)};
       if (o < hot) {
-        for (ThreadId t = 0; t < p.threads; ++t) recs[t].entries.push_back(e);
+        for (ThreadId t = 0; t < p.threads; ++t) oal[t].push_back(e);
       } else {
-        recs[o % p.threads].entries.push_back(e);
+        oal[o % p.threads].push_back(e);
         if (o % 3 == 0) {
-          recs[(o * 5 + 1) % p.threads].entries.push_back(e);
+          oal[(o * 5 + 1) % p.threads].push_back(e);
         }
       }
+    }
+    std::vector<OalArena>& logs = batches[static_cast<std::size_t>(b)];
+    for (ThreadId t = 0; t < p.threads; ++t) {
+      logs.push_back(interval_log(t, std::move(oal[t]),
+                                  static_cast<NodeId>(t % 8), next_interval++));
     }
   }
   return batches;
@@ -96,7 +96,7 @@ PointResult run_point(const SweepPoint& p) {
   // Dense-from-scratch: after each delivery, rebuild the run-so-far map.
   std::vector<SquareMatrix> dense_maps;
   {
-    std::vector<IntervalRecord> window;
+    std::vector<OalArena> window;
     const auto t0 = std::chrono::steady_clock::now();
     for (const auto& batch : batches) {
       window.insert(window.end(), batch.begin(), batch.end());
@@ -126,33 +126,6 @@ PointResult run_point(const SweepPoint& p) {
   return out;
 }
 
-/// Packs records into fixed-capacity arenas exactly the way IngestHub::append
-/// splits a closing interval across them (each slice carries a full header).
-std::vector<std::unique_ptr<OalArena>> pack_arenas(
-    std::span<const IntervalRecord> records, std::uint32_t capacity) {
-  std::vector<std::unique_ptr<OalArena>> arenas;
-  for (const IntervalRecord& r : records) {
-    std::size_t off = 0;
-    while (off < r.entries.size()) {
-      if (arenas.empty() || arenas.back()->entries.size() >= capacity) {
-        arenas.push_back(std::make_unique<OalArena>());
-        arenas.back()->entries.reserve(capacity);
-      }
-      OalArena& a = *arenas.back();
-      const std::size_t take = std::min<std::size_t>(
-          capacity - a.entries.size(), r.entries.size() - off);
-      const auto begin = static_cast<std::uint32_t>(a.entries.size());
-      a.entries.insert(a.entries.end(), r.entries.begin() + off,
-                       r.entries.begin() + off + take);
-      a.intervals.push_back(ArenaInterval{r.thread, r.interval, r.node,
-                                          r.start_pc, r.end_pc, begin,
-                                          static_cast<std::uint32_t>(begin + take)});
-      off += take;
-    }
-  }
-  return arenas;
-}
-
 struct ArenaScaleResult {
   double incr_seconds = 0.0;
   double csr_seconds = 0.0;
@@ -163,22 +136,22 @@ struct ArenaScaleResult {
 
 ArenaScaleResult run_arena_scale(const SweepPoint& p) {
   const auto batches = make_batches(p);
-  std::vector<std::vector<std::unique_ptr<OalArena>>> packed;
+  std::vector<std::vector<OalArena>> packed;
   packed.reserve(batches.size());
   for (const auto& batch : batches) {
-    packed.push_back(pack_arenas(batch, /*capacity=*/4096));
+    packed.push_back(repack(batch, /*capacity=*/4096));
   }
 
   ArenaScaleResult out;
 
   // Incremental fold, batch-at-a-time with a fresh map per delivery — the
-  // daemon's steady state, just fed arenas instead of records.
+  // daemon's steady state: one arena per fold.
   SquareMatrix incr;
   {
     TcmAccumulator acc(p.threads, /*weighted=*/true);
     const auto t0 = std::chrono::steady_clock::now();
     for (const auto& batch : packed) {
-      for (const auto& a : batch) acc.add(*a);
+      for (const OalArena& a : batch) acc.add({&a, 1});
       incr = acc.dense();
     }
     out.incr_seconds = seconds_since(t0);
@@ -189,7 +162,7 @@ ArenaScaleResult run_arena_scale(const SweepPoint& p) {
   {
     std::vector<const OalArena*> all;
     for (const auto& batch : packed) {
-      for (const auto& a : batch) all.push_back(a.get());
+      for (const OalArena& a : batch) all.push_back(&a);
     }
     const auto t0 = std::chrono::steady_clock::now();
     csr = DistributedTcmReducer::build(std::span<const OalArena* const>(all),
@@ -199,7 +172,7 @@ ArenaScaleResult run_arena_scale(const SweepPoint& p) {
 
   // One final dense-from-scratch oracle over the concatenated run.
   {
-    std::vector<IntervalRecord> window;
+    std::vector<OalArena> window;
     for (const auto& batch : batches) {
       window.insert(window.end(), batch.begin(), batch.end());
     }

@@ -157,6 +157,12 @@ inline std::string ms_cell(double seconds) {
   return TextTable::cell(seconds * 1e3, 2);
 }
 
+/// Steady-clock reading taken during static initialization, before main()
+/// runs: the origin of BenchReport's wall_seconds, so that metric covers the
+/// whole bench process however late the report object is constructed.
+inline const std::chrono::steady_clock::time_point kProcessStart =
+    std::chrono::steady_clock::now();
+
 /// Peak resident set size (VmHWM) in KiB from /proc/self/status, or 0 when
 /// unavailable (non-Linux, restricted /proc).  High-water-mark, so it only
 /// grows within a process — benches that compare two phases must run the
@@ -193,7 +199,7 @@ inline std::string ms_pct_cell(double seconds, double baseline_seconds) {
 class BenchReport {
  public:
   explicit BenchReport(std::string name)
-      : name_(std::move(name)), start_(std::chrono::steady_clock::now()) {}
+      : name_(std::move(name)) {}
 
   /// `slack` is relative to the baseline value; `abs_slack` is an additive
   /// floor so near-zero metrics (error distances) don't gate on FP dust.
@@ -286,9 +292,11 @@ class BenchReport {
     }
     // Resource footprint of the bench process itself, always recorded as
     // informational metrics (goal "none", so the regression gate only reports
-    // them if a baseline chooses to carry them with a real goal).
+    // them if a baseline chooses to carry them with a real goal).  Wall time
+    // runs from process start, not from report construction: most benches
+    // build their report after the measured work.
     const double wall = std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - start_)
+                            std::chrono::steady_clock::now() - kProcessStart)
                             .count();
     os << "    \"wall_seconds\": {\"value\": " << num(wall)
        << ", \"goal\": \"none\", \"slack\": 0, \"abs_slack\": 0},\n";
@@ -359,7 +367,6 @@ class BenchReport {
   }
 
   std::string name_;
-  std::chrono::steady_clock::time_point start_;
   std::vector<std::string> allowed_missing_;
   std::vector<Metric> metrics_;
   std::vector<Check> checks_;

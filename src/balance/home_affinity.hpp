@@ -48,11 +48,12 @@ class ThreadHomeAffinity {
   std::vector<double> data_;
 };
 
-/// Builds the matrix from collected interval records: every logged entry
-/// contributes its HT-weighted bytes to (record.thread, home(entry.obj)).
-/// Homes are read at call time, so home migrations are reflected.
+/// Builds the matrix from collected OAL log arenas: every logged entry
+/// contributes its HT-weighted bytes to (slice thread, home(entry.obj)),
+/// each (thread, object) pair at most once across the window.  Homes are
+/// read at call time, so home migrations are reflected.
 [[nodiscard]] ThreadHomeAffinity build_home_affinity(
-    std::span<const IntervalRecord> records, const Heap& heap,
-    std::uint32_t threads, std::uint32_t nodes, bool weighted = true);
+    std::span<const OalArena> logs, const Heap& heap, std::uint32_t threads,
+    std::uint32_t nodes, bool weighted = true);
 
 }  // namespace djvm

@@ -182,13 +182,15 @@ struct FaultKnobs {
 };
 
 /// Lock-free OAL ingest knobs (Config::ingest; see profiling/ingest.hpp).
-/// The arena transport is the only ingest path now — the legacy `enabled`
-/// toggle (and the record-vector submit() hand-off it selected) retired with
-/// CorrelationDaemon::submit().
+/// The Gos builds its IngestHub from these; the arena transport is the only
+/// OAL hand-off.
 struct IngestKnobs {
-  /// Entries per log arena.
+  /// Entries per log arena.  Larger arenas amortize the ring hand-off
+  /// further but delay delivery of a slow thread's entries until flush.
   std::uint32_t arena_entries = 4096;
-  /// Arenas per ring (rounded up to a power of two).
+  /// Arenas per ring (outbound and recycled each); rounds up to a power of
+  /// two.  Depth bounds how far a lane can run ahead of the daemon before
+  /// backpressure parks arenas producer-side.
   std::uint32_t ring_depth = 8;
 };
 

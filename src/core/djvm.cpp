@@ -32,13 +32,6 @@ Djvm::Djvm(Config cfg)
       daemon_(plan_, cfg.threads),
       migration_(*gos_) {
   gos_->set_hooks(this);
-  {
-    IngestConfig icfg;
-    icfg.arena_entries = cfg_.ingest.arena_entries;
-    icfg.ring_depth = cfg_.ingest.ring_depth;
-    ingest_hub_ = std::make_unique<IngestHub>(icfg);
-    gos_->attach_ingest(ingest_hub_.get());
-  }
   if (cfg_.faults.enabled) {
     fault_injector_ = std::make_unique<FaultInjector>(cfg_.faults);
     net_.set_fault_injector(fault_injector_.get());
@@ -115,7 +108,7 @@ void Djvm::pump_daemon() {
   }
   // The simulator's producers run on this thread, so the hub is quiesced
   // by construction: the drain may collect open and parked arenas too.
-  daemon_.ingest(*ingest_hub_);
+  daemon_.ingest(gos_->ingest());
 }
 
 EpochResult Djvm::run_epoch(const EpochRequest& request) {
@@ -282,7 +275,7 @@ EpochResult Djvm::run_epoch(const EpochRequest& request) {
 
   if (fault_injector_) {
     // Name the nodes whose profiling contribution this epoch's map is
-    // missing: dead nodes lost their un-shipped records (see pump_daemon).
+    // missing: dead nodes lost their un-shipped slices (see pump_daemon).
     for (std::uint32_t n = 0; n < nodes; ++n) {
       if (fault_injector_->node_dead(static_cast<NodeId>(n))) {
         result.lost_nodes.push_back(static_cast<NodeId>(n));

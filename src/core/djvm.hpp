@@ -118,9 +118,10 @@ class Djvm final : public Gos::Hooks {
   /// ingest (they died with the node).
   void pump_daemon();
 
-  /// The lock-free ingest hub routing interval OALs from worker threads to
-  /// the daemon (always present: the arena transport is the only path).
-  [[nodiscard]] IngestHub* ingest_hub() noexcept { return ingest_hub_.get(); }
+  /// The Gos-owned lock-free ingest hub routing interval OALs from worker
+  /// threads to the daemon.  Tools that read the raw OAL stream drain it
+  /// before pump_daemon() (whatever they pop, the daemon never sees).
+  [[nodiscard]] IngestHub* ingest_hub() noexcept { return &gos_->ingest(); }
 
   /// The per-epoch governor pump: drains the ingest lanes, assembles the
   /// epoch's overhead sample — cluster aggregate plus one per-node slice per
@@ -222,7 +223,6 @@ class Djvm final : public Gos::Hooks {
   Network net_;
   SamplingPlan plan_;
   std::unique_ptr<Gos> gos_;
-  std::unique_ptr<IngestHub> ingest_hub_;
   std::vector<JavaStack> stacks_;
   StackSamplerManager stackman_;
   FootprintTracker fptracker_;

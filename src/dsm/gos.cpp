@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "profiling/ingest.hpp"
 #include "runtime/object.hpp"
 
 namespace djvm {
@@ -18,7 +17,7 @@ constexpr std::uint64_t kRequestBytes = 32;
 Gos::Gos(Heap& heap, Network& net, SamplingPlan& plan, const Config& cfg)
     : heap_(heap), net_(net), plan_(plan), cfg_(cfg), costs_(cfg.costs),
       nodes_(cfg.nodes), locks_(cfg.nodes), tracking_(cfg.oal_transfer),
-      node_stats_(cfg.nodes) {
+      node_stats_(cfg.nodes), ingest_(cfg.ingest) {
   last_write_epoch_.reserve(1024);
   // Hand the plan the copy sets so resampling walks (and their cost
   // attribution) follow what each node actually caches.
@@ -44,17 +43,8 @@ ThreadId Gos::spawn_thread(NodeId node) {
   ts.node = node;
   ts.dispatch = dispatch_;
   threads_.push_back(std::move(ts));
-  if (ingest_ != nullptr) {
-    ingest_->ensure_lanes(static_cast<std::uint32_t>(threads_.size()));
-  }
+  ingest_.ensure_lanes(static_cast<std::uint32_t>(threads_.size()));
   return static_cast<ThreadId>(threads_.size() - 1);
-}
-
-void Gos::attach_ingest(IngestHub* hub) {
-  ingest_ = hub;
-  if (ingest_ != nullptr && !threads_.empty()) {
-    ingest_->ensure_lanes(static_cast<std::uint32_t>(threads_.size()));
-  }
 }
 
 void Gos::grow_node(NodeState& ns) const {
@@ -304,39 +294,12 @@ void Gos::close_interval(ThreadId t, NodeId sync_dest) {
       ++stats_.oal_messages;
       stats_.oal_send_ns += dt;
     }
-    if (ingest_ != nullptr) {
-      // Lock-free hand-off: the OAL goes straight into this thread's lane
-      // arena (lane index == thread id), no IntervalRecord materialized —
-      // unless the observational record tap is on, which ALSO materializes
-      // a record for offline consumers (never fed to the daemon).
-      if (record_tap_) {
-        IntervalRecord rec;
-        rec.thread = t;
-        rec.interval = ts.interval_id;
-        rec.node = ts.node;
-        rec.start_pc = ts.interval_start_pc;
-        rec.end_pc = ts.phase_pc;
-        rec.entries = ts.oal;
-        records_.push_back(std::move(rec));
-      }
-      ingest_->append(t, t, ts.interval_id, ts.node, ts.interval_start_pc,
-                      ts.phase_pc, ts.oal);
-      ts.oal.clear();
-    } else {
-      IntervalRecord rec;
-      rec.thread = t;
-      rec.interval = ts.interval_id;
-      rec.node = ts.node;
-      rec.start_pc = ts.interval_start_pc;
-      rec.end_pc = ts.phase_pc;
-      rec.entries.swap(ts.oal);
-      // Keep the working buffer's capacity in the hot path's favour.
-      ts.oal.reserve(rec.entries.size());
-      records_.push_back(std::move(rec));
-    }
-  } else {
-    ts.oal.clear();
+    // Lock-free hand-off: the OAL goes straight into this thread's lane
+    // arena (lane index == thread id).
+    ingest_.append(t, t, ts.interval_id, ts.node, ts.interval_start_pc,
+                   ts.phase_pc, ts.oal);
   }
+  ts.oal.clear();
   ts.interval_start_pc = ts.phase_pc;
   ++ts.interval_stamp;  // re-arms at-most-once tracking (false-invalid reset)
   ++ts.interval_id;
@@ -534,12 +497,6 @@ void Gos::enable_footprinting(FootprintTimerMode mode, SimTime phase, SimTime re
 void Gos::disable_footprinting() {
   footprinting_ = false;
   refresh_dispatch();
-}
-
-std::vector<IntervalRecord> Gos::drain_records() {
-  std::vector<IntervalRecord> out;
-  out.swap(records_);
-  return out;
 }
 
 }  // namespace djvm

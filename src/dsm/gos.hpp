@@ -10,7 +10,8 @@
 // The profiling subsystems hang off this class:
 //  * correlation tracking — the false-invalid overlay forces the first access
 //    to each sampled object per interval through the service routine, which
-//    appends an OAL entry (at-most-once logging);
+//    appends an OAL entry (at-most-once logging); interval close hands the
+//    OAL to the Gos-owned ingest hub (profiling/ingest.hpp);
 //  * sticky-set footprinting — a timer re-arms tracking on sampled objects
 //    every `footprint_rearm`, recording repeated in-interval touches;
 //  * stack sampling — a per-thread simulated-time timer fires the sampler.
@@ -27,13 +28,12 @@
 #include "dsm/locks.hpp"
 #include "dsm/protocol_stats.hpp"
 #include "net/network.hpp"
+#include "profiling/ingest.hpp"
 #include "profiling/oal.hpp"
 #include "profiling/sampling.hpp"
 #include "runtime/heap.hpp"
 
 namespace djvm {
-
-class IngestHub;
 
 /// Simulated cost of the GOS service routine handling a correlation-fault
 /// (log + cancel false-invalid), with no network involved.  Public so the
@@ -149,29 +149,14 @@ class Gos : public CopySetView {
     refresh_dispatch();
   }
 
-  /// Routes interval OALs through per-thread lock-free ingest lanes instead
-  /// of materializing IntervalRecords (see profiling/ingest.hpp): each
-  /// interval close appends the thread's OAL straight into its lane's open
-  /// arena.  Wire accounting (kSend shipping, piggybacking) is unchanged —
-  /// only the hand-off representation differs.  Lanes are sized for the
-  /// already-spawned threads immediately and grown on every later spawn.
-  /// Pass nullptr to detach (subsequent closes build records again).
-  void attach_ingest(IngestHub* hub);
-  [[nodiscard]] IngestHub* ingest() const noexcept { return ingest_; }
-
-  /// Observational record tap: with a hub attached, each interval close
-  /// ALSO materializes an IntervalRecord into the drain_records() stream
-  /// (a copy of what went into the lane arena).  For offline consumers —
-  /// ablation benches, reducer comparisons — that need per-record views the
-  /// arena transport no longer materializes; the tapped records are never
-  /// fed to the daemon.  Off by default so nothing accumulates.
-  void set_record_tap(bool on) noexcept { record_tap_ = on; }
-  [[nodiscard]] bool record_tap() const noexcept { return record_tap_; }
-
   // --- profiling outputs -------------------------------------------------------
-  /// Interval records delivered to the coordinator so far (moves them out).
-  std::vector<IntervalRecord> drain_records();
-  [[nodiscard]] std::size_t pending_records() const noexcept { return records_.size(); }
+  /// The OAL ingest hub, built from Config::ingest: one lane per spawned
+  /// thread (lane index == thread id, grown on every spawn).  Each interval
+  /// close appends the thread's OAL straight into its lane's open arena;
+  /// wire accounting (kSend shipping, piggybacking) is billed separately at
+  /// the close.  The correlation daemon is the usual consumer; offline tools
+  /// read the raw OAL stream by draining the hub themselves.
+  [[nodiscard]] IngestHub& ingest() noexcept { return ingest_; }
   /// Per-object distinct-tick counts for `t`'s current interval (built on
   /// demand from the internal counters).
   [[nodiscard]] std::vector<FootprintTouch> footprint_touches(ThreadId t) const;
@@ -281,8 +266,6 @@ class Gos : public CopySetView {
 
   OalTransfer tracking_ = OalTransfer::kDisabled;
   NodeId coordinator_ = 0;
-  IngestHub* ingest_ = nullptr;
-  bool record_tap_ = false;
   Hooks* hooks_ = nullptr;
   bool observe_ = false;
   /// Mask inherited by freshly spawned threads (refresh_dispatch keeps the
@@ -299,9 +282,9 @@ class Gos : public CopySetView {
   SimTime fp_phase_ = 1;
   SimTime fp_rearm_ = 1;
 
-  std::vector<IntervalRecord> records_;
   ProtocolStats stats_;
   std::vector<NodeProfilingStats> node_stats_;  ///< indexed by NodeId
+  IngestHub ingest_;
 };
 
 }  // namespace djvm

@@ -494,6 +494,9 @@ struct SnapshotAccess {
     SquareMatrix m(static_cast<std::size_t>(n));
     for (double& v : m.raw()) {
       if (!r.get(v)) return false;
+      // Same rule as parse_snapshot: a NaN/inf cell would poison every
+      // distance the warm-started governor computes against this map.
+      if (!std::isfinite(v)) return false;
     }
     if (!r.exhausted()) return false;
 

@@ -32,7 +32,7 @@ void CorrelationDaemon::fold_arena(OalArena& arena) {
       e.klass = kInvalidClass;
     }
   }
-  window_.add(arena);
+  window_.add({&arena, 1});
   total_entries_ += arena.entries.size();
 }
 
@@ -101,8 +101,8 @@ EpochResult CorrelationDaemon::run_epoch(OverheadSample sample) {
   std::vector<double> home_mass;
   if (class_stats) plan_.begin_epoch_stats();
   const Heap& heap = plan_.heap();
-  // Walk the drained arena slices (each carries the interval header context
-  // a record would have).  Thread-home-affinity mass: HT-weighted bytes the
+  // Walk the drained arena slices (each carries its interval's header
+  // context).  Thread-home-affinity mass: HT-weighted bytes the
   // logging node accessed on objects homed elsewhere — cells the balancer's
   // home-aware planner acts on even without a co-located peer.
   for (const OalArena* a : pending_arenas_) {
@@ -149,8 +149,8 @@ EpochResult CorrelationDaemon::run_epoch(OverheadSample sample) {
   out.tcm = window_.dense();
   out.densify_seconds = seconds_since(t0);
 
-  // Merge the consumed window into the whole-run accumulator (ingested
-  // entries have no raw records to re-fold later, so build_full's map is fed
+  // Merge the consumed window into the whole-run accumulator (drained
+  // arenas are recycled, leaving nothing to re-fold later, so build_full's map is fed
   // eagerly here); under retention, periodically evict stale objects too.
   // Coordinator map work like the folds, so it is timed into build_seconds.
   double retention_seconds = 0.0;
@@ -192,7 +192,7 @@ EpochResult CorrelationDaemon::run_epoch(OverheadSample sample) {
   sample.build_seconds += out.build_seconds;
   if (!sample.measured) {
     sample.wire_bytes = wire_bytes;
-    // Observational per-node slices derived from the records themselves
+    // Observational per-node slices derived from the arenas themselves
     // (no app time was measured, so the governor will not budget on them,
     // but the per-node wire view stays visible).
     if (sample.nodes.empty()) {
@@ -279,8 +279,8 @@ void CorrelationDaemon::release_pending_arenas() {
 SquareMatrix CorrelationDaemon::build_full() {
   // The whole-run map *is* the whole-run accumulator (fed eagerly by every
   // run_epoch's window merge) plus whatever sits in the unconsumed window.
-  // The accumulated state carries HT-weighted bytes only — ingested entries
-  // never had raw records to re-weigh.
+  // The accumulated state carries HT-weighted bytes only — the raw entries
+  // were recycled after the fold, so there is nothing to re-weigh.
   intervals_seen_ += pending_slices_;
   const auto tr = std::chrono::steady_clock::now();
   release_pending_arenas();

@@ -1,7 +1,7 @@
 // The central correlation-computing daemon (the master JVM of Fig. 2).
 //
-// Collects OAL interval records from worker nodes, folds each delivered
-// batch into a persistent incremental sparse accumulator (see
+// Drains OAL log arenas from worker nodes, folds each delivered arena
+// into a persistent incremental sparse accumulator (see
 // profiling/tcm.hpp) as it arrives, and at each epoch densifies the window's
 // map and hands its movement plus measured costs to the profiling governor,
 // which owns all rate decisions: the paper's Section II.B.2 convergence loop
@@ -162,16 +162,14 @@ class CorrelationDaemon {
   /// Pass false only when producer threads are still appending concurrently.
   /// Drained arenas are recycled back to their lanes at the next run_epoch
   /// (their slices back the epoch's statistics until then).  Returns the
-  /// number of arenas consumed.  Raw IntervalRecords never reach the daemon:
-  /// the old submit() compatibility wrapper (and the record history it kept
-  /// alive) is gone, and build_full folds through the whole-run accumulator
-  /// (weighted only).
+  /// number of arenas consumed.  The daemon keeps no raw OAL history:
+  /// build_full folds through the whole-run accumulator (weighted only).
   std::size_t ingest(IngestHub& hub, bool quiesced = true);
 
   /// Installs a liveness predicate consulted at ingest() time: arena slices
   /// whose logging node fails it are dropped before the fold, so a killed
   /// node's un-shipped intervals die with it exactly as they did when the
-  /// pump erased its raw records.  An empty function (the default) keeps
+  /// pump dropped its raw logs.  An empty function (the default) keeps
   /// everything and costs nothing.
   void set_node_filter(std::function<bool(NodeId)> alive) {
     node_filter_ = std::move(alive);
@@ -240,10 +238,10 @@ class CorrelationDaemon {
   /// benches that want a whole-run map); also accumulates build-time
   /// statistics.  The whole-run accumulator is fed incrementally by every
   /// run_epoch, so this only merges the unconsumed window in and densifies —
-  /// repeated calls pay nothing for already-consumed epochs.  Raw records
-  /// never existed for ingested entries, so an unweighted variant is not
-  /// available (benches that need per-record views tap the Gos record stream
-  /// instead — see Gos::set_record_tap).
+  /// repeated calls pay nothing for already-consumed epochs.  The raw
+  /// entries are recycled after the fold, so an unweighted variant is not
+  /// available (tools that need the raw OAL stream drain the Gos ingest hub
+  /// themselves, before the daemon does — see Gos::ingest).
   SquareMatrix build_full();
 
   /// Total real seconds spent in TCM construction (Table III's rightmost
@@ -251,8 +249,8 @@ class CorrelationDaemon {
   /// to execution time).
   [[nodiscard]] double total_build_seconds() const noexcept { return build_seconds_; }
   [[nodiscard]] std::size_t total_entries() const noexcept { return total_entries_; }
-  /// Interval slices consumed over the run (the records themselves never
-  /// reach the daemon, but the count survives).
+  /// Interval slices consumed over the run (the arenas are recycled, but the
+  /// count survives).
   [[nodiscard]] std::size_t total_intervals() const noexcept {
     return intervals_seen_;
   }
@@ -292,7 +290,7 @@ class CorrelationDaemon {
   /// run_epoch's window merge and, under retention, bounded by compact().
   TcmAccumulator full_;
   RetentionPolicy retention_;
-  std::size_t intervals_seen_ = 0;   ///< records consumed (backs total_intervals)
+  std::size_t intervals_seen_ = 0;   ///< slices consumed (backs total_intervals)
   std::size_t dropped_objects_ = 0;  ///< cumulative retention evictions
   SquareMatrix latest_;
   bool have_latest_ = false;

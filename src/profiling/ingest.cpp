@@ -4,7 +4,7 @@
 
 namespace djvm {
 
-IngestHub::IngestHub(IngestConfig cfg) : cfg_(cfg) {
+IngestHub::IngestHub(IngestKnobs cfg) : cfg_(cfg) {
   cfg_.arena_entries = std::max<std::uint32_t>(1, cfg_.arena_entries);
   cfg_.ring_depth = std::max<std::uint32_t>(1, cfg_.ring_depth);
 }

@@ -1,10 +1,9 @@
-// Lock-free OAL ingest: per-thread log arenas handed to the correlation
-// daemon over single-producer/single-consumer rings.
+// Lock-free OAL ingest: per-thread log arenas (profiling/oal.hpp) handed to
+// the correlation daemon over single-producer/single-consumer rings.
 //
-// The seed ingest path built one heap-allocated IntervalRecord per interval
-// close and funneled batches through CorrelationDaemon::submit() — a serial
-// hand-off whose allocation and copying costs grow with thread count (the
-// ROADMAP's named scaling cliff).  Here each worker thread owns a *lane*:
+// A heap-allocated log per interval close, funneled through one serial
+// hand-off, pays allocation and copying costs that grow with thread count.
+// Here each worker thread owns a *lane*:
 //
 //   producer (worker thread)                 consumer (daemon pump)
 //   ------------------------                 ----------------------
@@ -29,45 +28,11 @@
 #include <span>
 #include <vector>
 
+#include "common/config.hpp"
 #include "common/types.hpp"
 #include "profiling/oal.hpp"
 
 namespace djvm {
-
-/// One closed interval's slice of an arena's entry log.  A single interval
-/// may split across arenas when it fills one mid-append; each slice then
-/// carries the full header (and is billed one header of wire bytes — the
-/// price of fixed-size arenas, visible in the accounting rather than hidden).
-struct ArenaInterval {
-  ThreadId thread = kInvalidThread;
-  IntervalId interval = 0;
-  NodeId node = kInvalidNode;
-  std::uint32_t start_pc = 0;
-  std::uint32_t end_pc = 0;
-  std::uint32_t begin = 0;  ///< entry range [begin, end) in OalArena::entries
-  std::uint32_t end = 0;
-};
-
-/// A fixed-capacity OAL log arena: the unit of hand-off between a producer
-/// lane and the daemon.  Entries from many intervals share one contiguous
-/// buffer; `intervals` indexes the slices.
-struct OalArena {
-  std::uint32_t lane = 0;  ///< owning producer lane (routes recycling)
-  std::vector<OalEntry> entries;
-  std::vector<ArenaInterval> intervals;
-
-  [[nodiscard]] bool empty() const noexcept { return entries.empty(); }
-  /// Wire size if shipped to the coordinator: one interval header per slice
-  /// plus the shipped entry fields (see oal.hpp for the derivations).
-  [[nodiscard]] std::uint64_t wire_bytes() const noexcept {
-    return intervals.size() * kIntervalHeaderWireBytes +
-           entries.size() * kOalEntryWireBytes;
-  }
-  void clear() noexcept {
-    entries.clear();
-    intervals.clear();
-  }
-};
 
 /// Bounded lock-free single-producer/single-consumer ring.  Exactly one
 /// thread may call push() and exactly one may call pop(); capacity rounds up
@@ -126,17 +91,6 @@ class SpscRing {
 /// ring surfaces on the overhead meter instead of hiding in lost throughput.
 inline constexpr double kRingBackpressureSeconds = 400e-9;
 
-/// Ingest tuning knobs (Config::ingest carries these).
-struct IngestConfig {
-  /// Entries per arena.  Larger arenas amortize the ring hand-off further
-  /// but delay delivery of a slow thread's entries until flush.
-  std::uint32_t arena_entries = 4096;
-  /// Arenas per ring (outbound and recycled each); rounds up to a power of
-  /// two.  Depth bounds how far a lane can run ahead of the daemon before
-  /// backpressure parks arenas producer-side.
-  std::uint32_t ring_depth = 8;
-};
-
 /// Aggregated hub counters (sums over lanes; each is monotonic).  The loss
 /// invariant the bench gate checks: entries_published == entries_drained
 /// once every producer has flushed and the consumer has drained — there is
@@ -158,7 +112,7 @@ struct IngestCounters {
 /// call touches).
 class IngestHub {
  public:
-  explicit IngestHub(IngestConfig cfg = {});
+  explicit IngestHub(IngestKnobs cfg = {});
   ~IngestHub();
   IngestHub(const IngestHub&) = delete;
   IngestHub& operator=(const IngestHub&) = delete;
@@ -168,7 +122,7 @@ class IngestHub {
   [[nodiscard]] std::uint32_t lane_count() const noexcept {
     return lane_count_.load(std::memory_order_acquire);
   }
-  [[nodiscard]] const IngestConfig& config() const noexcept { return cfg_; }
+  [[nodiscard]] const IngestKnobs& config() const noexcept { return cfg_; }
 
   // --- producer side ---------------------------------------------------------
   /// Appends one closed interval's entries to `lane`'s open arena, splitting
@@ -217,7 +171,7 @@ class IngestHub {
 
  private:
   struct Lane {
-    explicit Lane(const IngestConfig& cfg)
+    explicit Lane(const IngestKnobs& cfg)
         : outbound(cfg.ring_depth), recycled(cfg.ring_depth) {}
 
     SpscRing<OalArena*> outbound;  ///< producer -> consumer (full arenas)
@@ -253,7 +207,7 @@ class IngestHub {
   void publish(Lane& ln, OalArena* arena);
   void count_drained(Lane& ln, const OalArena& arena);
 
-  IngestConfig cfg_;
+  IngestKnobs cfg_;
   /// Lane storage: pointers are stable across growth (unique_ptr), so
   /// hot-path access never takes lanes_mutex_ — only growth does.
   std::vector<std::unique_ptr<Lane>> lanes_;

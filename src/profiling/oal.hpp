@@ -1,10 +1,14 @@
-// Object access lists (OALs) and per-interval records (paper Section II.A).
+// Object access lists (OALs) and the log arenas that carry them (paper
+// Section II.A).
 //
 // By the at-most-once property of HLRC, a thread logs each sampled shared
 // object at most once per interval.  On interval close the OAL — accessed
 // object id and (amortized) size — is packed with the interval context into a
 // jumbo message for the central coordinator, piggybacked on lock/barrier
-// traffic when possible.
+// traffic when possible.  In memory that message is one slice of an
+// `OalArena`: the single OAL representation every consumer (the daemon's
+// fold, the distributed reducer, the home-affinity builder, offline tools)
+// reads.  The ingest transport that moves arenas lives in ingest.hpp.
 #pragma once
 
 #include <cstdint>
@@ -38,8 +42,12 @@ static_assert(sizeof(OalEntry) == 24,
               "OalEntry gained or lost a field; decide whether it ships and "
               "update kOalEntryWireBytes accordingly");
 
-/// A closed interval's access log, as shipped to the coordinator.
-struct IntervalRecord {
+/// One closed interval's slice of an arena's entry log: the interval context
+/// header plus the entry range it owns.  A single interval may split across
+/// arenas when it fills one mid-append; each slice then carries the full
+/// header (and is billed one header of wire bytes — the price of fixed-size
+/// arenas, visible in the accounting rather than hidden).
+struct ArenaInterval {
   ThreadId thread = kInvalidThread;
   IntervalId interval = 0;
   NodeId node = kInvalidNode;
@@ -47,28 +55,46 @@ struct IntervalRecord {
   /// PCs; workloads label phases with small integers serving that role.
   std::uint32_t start_pc = 0;
   std::uint32_t end_pc = 0;
-  std::vector<OalEntry> entries;
-
-  [[nodiscard]] std::uint64_t wire_bytes() const noexcept;
+  std::uint32_t begin = 0;  ///< entry range [begin, end) in OalArena::entries
+  std::uint32_t end = 0;
 };
 
 /// Interval context header: every header field ships (thread id, interval
 /// id, source node, start/end bytecode PC) plus two bytes of wire padding
 /// that keep the entry payload 4-byte aligned for the coordinator's bulk
-/// decode.  Derived the same way as the entry size: field changes move the
-/// constant, and the static_assert forces the pad to be revisited.
+/// decode.  The entry range is in-memory framing, implicit in the wire's
+/// length prefix, so it does not ship.  Derived the same way as the entry
+/// size: field changes move the constant, and the static_assert forces the
+/// pad to be revisited.
 inline constexpr std::uint64_t kIntervalHeaderWirePad = 2;
 inline constexpr std::uint64_t kIntervalHeaderWireBytes =
-    sizeof(IntervalRecord::thread) + sizeof(IntervalRecord::interval) +
-    sizeof(IntervalRecord::node) + sizeof(IntervalRecord::start_pc) +
-    sizeof(IntervalRecord::end_pc) + kIntervalHeaderWirePad;
+    sizeof(ArenaInterval::thread) + sizeof(ArenaInterval::interval) +
+    sizeof(ArenaInterval::node) + sizeof(ArenaInterval::start_pc) +
+    sizeof(ArenaInterval::end_pc) + kIntervalHeaderWirePad;
 static_assert(kIntervalHeaderWireBytes == 24,
               "interval header layout changed — update the wire pad (entry "
               "payload must stay 4-byte aligned) and every reader of "
               "kIntervalHeaderWireBytes");
 
-inline std::uint64_t IntervalRecord::wire_bytes() const noexcept {
-  return kIntervalHeaderWireBytes + entries.size() * kOalEntryWireBytes;
-}
+/// A fixed-capacity OAL log arena: the unit of hand-off between a producer
+/// lane and the daemon.  Entries from many intervals share one contiguous
+/// buffer; `intervals` indexes the slices.
+struct OalArena {
+  std::uint32_t lane = 0;  ///< owning producer lane (routes recycling)
+  std::vector<OalEntry> entries;
+  std::vector<ArenaInterval> intervals;
+
+  [[nodiscard]] bool empty() const noexcept { return entries.empty(); }
+  /// Wire size if shipped to the coordinator: one interval header per slice
+  /// plus the shipped entry fields.
+  [[nodiscard]] std::uint64_t wire_bytes() const noexcept {
+    return intervals.size() * kIntervalHeaderWireBytes +
+           entries.size() * kOalEntryWireBytes;
+  }
+  void clear() noexcept {
+    entries.clear();
+    intervals.clear();
+  }
+};
 
 }  // namespace djvm

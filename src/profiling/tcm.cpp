@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "profiling/ingest.hpp"
 
 namespace djvm {
 
@@ -13,6 +12,39 @@ namespace {
 /// ids (nothing in the tree produces them, but the API accepts any id) go
 /// through a hash map instead of sizing an allocation.
 constexpr ObjectId kDirectSlotCap = 1ull << 24;
+
+/// An entry's byte value: Horvitz-Thompson scaled by its logging-time gap
+/// when `weighted`, raw otherwise.
+double entry_bytes(const OalEntry& e, bool weighted) {
+  return weighted ? static_cast<double>(e.bytes) * e.gap
+                  : static_cast<double>(e.bytes);
+}
+
+/// build_reference's per-object access summary: (thread, weighted bytes)
+/// readers, each byte value the maximum over the window's intervals.
+struct ObjectAccessSummary {
+  ObjectId obj = kInvalidObject;
+  std::vector<std::pair<ThreadId, double>> readers;
+};
+
+/// build_reference's dense accrual: cell (i, j) accumulates
+/// min(bytes_i, bytes_j) per object shared by threads i and j.
+SquareMatrix accrue(std::span<const ObjectAccessSummary> summaries,
+                    std::uint32_t threads) {
+  SquareMatrix tcm(threads);
+  for (const ObjectAccessSummary& s : summaries) {
+    const auto& r = s.readers;
+    for (std::size_t i = 0; i < r.size(); ++i) {
+      for (std::size_t j = i + 1; j < r.size(); ++j) {
+        const double shared = std::min(r[i].second, r[j].second);
+        if (r[i].first < threads && r[j].first < threads) {
+          tcm.add_symmetric(r[i].first, r[j].first, shared);
+        }
+      }
+    }
+  }
+  return tcm;
+}
 
 }  // namespace
 
@@ -139,55 +171,17 @@ ReaderArena reorganize_impl(ArenaScratch& s, std::size_t total_hint,
 
 }  // namespace
 
-ReaderArena TcmBuilder::reorganize_arena(std::span<const IntervalRecord> records,
-                                         bool weighted) {
-  ArenaScratch scratch;
-  return reorganize_arena(records, weighted, scratch);
-}
-
-ReaderArena TcmBuilder::reorganize_arena(std::span<const IntervalRecord> records,
+ReaderArena TcmBuilder::reorganize_arena(std::span<const OalArena> logs,
                                          bool weighted, ArenaScratch& s) {
   std::size_t total_entries = 0;
-  for (const IntervalRecord& rec : records) total_entries += rec.entries.size();
+  for (const OalArena& log : logs) total_entries += log.entries.size();
   return reorganize_impl(s, total_entries, [&](auto&& emit) {
-    for (const IntervalRecord& rec : records) {
-      for (const OalEntry& e : rec.entries) {
-        const double bytes = weighted
-                                 ? static_cast<double>(e.bytes) * e.gap
-                                 : static_cast<double>(e.bytes);
-        emit(rec.thread, e.obj, e.klass, bytes);
-      }
-    }
-  });
-}
-
-ReaderArena TcmBuilder::reorganize_arena(
-    std::span<const IntervalRecord* const> records, bool weighted,
-    ArenaScratch& s) {
-  std::size_t total_entries = 0;
-  for (const IntervalRecord* rec : records) total_entries += rec->entries.size();
-  return reorganize_impl(s, total_entries, [&](auto&& emit) {
-    for (const IntervalRecord* rec : records) {
-      for (const OalEntry& e : rec->entries) {
-        const double bytes = weighted
-                                 ? static_cast<double>(e.bytes) * e.gap
-                                 : static_cast<double>(e.bytes);
-        emit(rec->thread, e.obj, e.klass, bytes);
-      }
-    }
-  });
-}
-
-ReaderArena TcmBuilder::reorganize_arena(const OalArena& log, bool weighted,
-                                         ArenaScratch& s) {
-  return reorganize_impl(s, log.entries.size(), [&](auto&& emit) {
-    for (const ArenaInterval& iv : log.intervals) {
-      for (std::uint32_t i = iv.begin; i < iv.end; ++i) {
-        const OalEntry& e = log.entries[i];
-        const double bytes = weighted
-                                 ? static_cast<double>(e.bytes) * e.gap
-                                 : static_cast<double>(e.bytes);
-        emit(iv.thread, e.obj, e.klass, bytes);
+    for (const OalArena& log : logs) {
+      for (const ArenaInterval& iv : log.intervals) {
+        for (std::uint32_t i = iv.begin; i < iv.end; ++i) {
+          const OalEntry& e = log.entries[i];
+          emit(iv.thread, e.obj, e.klass, entry_bytes(e, weighted));
+        }
       }
     }
   });
@@ -205,10 +199,7 @@ ReaderArena TcmBuilder::reorganize_arena(std::span<const ArenaSliceRef> slices,
       const ArenaInterval& iv = ref.log->intervals[ref.slice];
       for (std::uint32_t i = iv.begin; i < iv.end; ++i) {
         const OalEntry& e = ref.log->entries[i];
-        const double bytes = weighted
-                                 ? static_cast<double>(e.bytes) * e.gap
-                                 : static_cast<double>(e.bytes);
-        emit(iv.thread, e.obj, e.klass, bytes);
+        emit(iv.thread, e.obj, e.klass, entry_bytes(e, weighted));
       }
     }
   });
@@ -230,37 +221,7 @@ ReaderArena TcmBuilder::merge_arenas(const ReaderArena& a, const ReaderArena& b,
                          });
 }
 
-std::vector<ObjectAccessSummary> TcmBuilder::reorganize(
-    std::span<const IntervalRecord> records, bool weighted) {
-  const ReaderArena arena = reorganize_arena(records, weighted);
-  std::vector<ObjectAccessSummary> summaries;
-  summaries.reserve(arena.object_count());
-  for (std::size_t k = 0; k < arena.object_count(); ++k) {
-    const auto readers = arena.readers_of(k);
-    summaries.push_back(ObjectAccessSummary{
-        arena.objects[k], {readers.begin(), readers.end()}});
-  }
-  return summaries;
-}
-
 // --- accrual ------------------------------------------------------------------
-
-SquareMatrix TcmBuilder::accrue(std::span<const ObjectAccessSummary> summaries,
-                                std::uint32_t threads) {
-  SquareMatrix tcm(threads);
-  for (const ObjectAccessSummary& s : summaries) {
-    const auto& r = s.readers;
-    for (std::size_t i = 0; i < r.size(); ++i) {
-      for (std::size_t j = i + 1; j < r.size(); ++j) {
-        const double shared = std::min(r[i].second, r[j].second);
-        if (r[i].first < threads && r[j].first < threads) {
-          tcm.add_symmetric(r[i].first, r[j].first, shared);
-        }
-      }
-    }
-  }
-  return tcm;
-}
 
 UpperTriangle TcmBuilder::accrue_sparse(const ReaderArena& arena,
                                         std::uint32_t threads) {
@@ -278,36 +239,32 @@ UpperTriangle TcmBuilder::accrue_sparse(const ReaderArena& arena,
   return pairs;
 }
 
-SquareMatrix TcmBuilder::build(std::span<const IntervalRecord> records,
-                               std::uint32_t threads, bool weighted) {
-  return accrue_sparse(reorganize_arena(records, weighted), threads).densify();
-}
-
-SquareMatrix TcmBuilder::build_reference(std::span<const IntervalRecord> records,
+SquareMatrix TcmBuilder::build_reference(std::span<const OalArena> logs,
                                          std::uint32_t threads, bool weighted) {
-  // The seed's pipeline, preserved verbatim: per-object summaries behind a
-  // hash map (one rehash + one linear reader scan per entry, one vector per
-  // object), then dense accrual — the oracle the sparse pipeline is measured
-  // and verified against.
+  // The seed's pipeline: per-object summaries behind a hash map (one rehash
+  // + one linear reader scan per entry, one vector per object), then dense
+  // accrual — the oracle the sparse pipeline is measured and verified
+  // against.
   std::unordered_map<ObjectId, std::size_t> index;
   std::vector<ObjectAccessSummary> summaries;
   index.reserve(1024);
-  for (const IntervalRecord& rec : records) {
-    for (const OalEntry& e : rec.entries) {
-      const double bytes = weighted
-                               ? static_cast<double>(e.bytes) * e.gap
-                               : static_cast<double>(e.bytes);
-      auto [it, inserted] = index.try_emplace(e.obj, summaries.size());
-      if (inserted) {
-        summaries.push_back(ObjectAccessSummary{e.obj, {}});
-      }
-      auto& readers = summaries[it->second].readers;
-      auto rit = std::find_if(readers.begin(), readers.end(),
-                              [&](const auto& p) { return p.first == rec.thread; });
-      if (rit == readers.end()) {
-        readers.emplace_back(rec.thread, bytes);
-      } else {
-        rit->second = std::max(rit->second, bytes);
+  for (const OalArena& log : logs) {
+    for (const ArenaInterval& iv : log.intervals) {
+      for (std::uint32_t i = iv.begin; i < iv.end; ++i) {
+        const OalEntry& e = log.entries[i];
+        const double bytes = entry_bytes(e, weighted);
+        auto [it, inserted] = index.try_emplace(e.obj, summaries.size());
+        if (inserted) {
+          summaries.push_back(ObjectAccessSummary{e.obj, {}});
+        }
+        auto& readers = summaries[it->second].readers;
+        auto rit = std::find_if(readers.begin(), readers.end(),
+                                [&](const auto& p) { return p.first == iv.thread; });
+        if (rit == readers.end()) {
+          readers.emplace_back(iv.thread, bytes);
+        } else {
+          rit->second = std::max(rit->second, bytes);
+        }
       }
     }
   }
@@ -381,27 +338,13 @@ void TcmAccumulator::add_one(ObjectId obj, ThreadId thread, double bytes) {
   head = alloc_reader(thread, bytes, head);
 }
 
-void TcmAccumulator::add(std::span<const IntervalRecord> records) {
+void TcmAccumulator::add(std::span<const OalArena> logs) {
   // Arena-reorganize the batch first: in-batch duplicates collapse under a
   // stamp check instead of paying a reader-list walk each.  The scratch
   // persists across folds, so steady-state batches allocate only the
   // arena's own payload.
   const ReaderArena arena =
-      TcmBuilder::reorganize_arena(records, weighted_, scratch_);
-  for (std::size_t k = 0; k < arena.object_count(); ++k) {
-    add_readers(arena.objects[k], arena.readers_of(k), arena.klass[k]);
-  }
-}
-
-void TcmAccumulator::add(const OalArena& log) {
-  const ReaderArena arena =
-      TcmBuilder::reorganize_arena(log, weighted_, scratch_);
-  for (std::size_t k = 0; k < arena.object_count(); ++k) {
-    add_readers(arena.objects[k], arena.readers_of(k), arena.klass[k]);
-  }
-}
-
-void TcmAccumulator::add(const ReaderArena& arena) {
+      TcmBuilder::reorganize_arena(logs, weighted_, scratch_);
   for (std::size_t k = 0; k < arena.object_count(); ++k) {
     add_readers(arena.objects[k], arena.readers_of(k), arena.klass[k]);
   }
@@ -476,26 +419,6 @@ void TcmAccumulator::merge(const TcmAccumulator& other) {
           other.klass_[slot];
     }
   }
-}
-
-void TcmAccumulator::merge_disjoint_objects(const TcmAccumulator& other) {
-  assert(threads_ == other.threads_);
-  for (std::size_t slot = 0; slot < other.touched_.size(); ++slot) {
-    const ObjectId obj = other.touched_[slot];
-    assert(!slots_.contains(obj) &&
-           "merge_disjoint_objects requires disjoint object sets");
-    const std::int32_t dst = assign_slot(obj);
-    klass_[static_cast<std::size_t>(dst)] = other.klass_[slot];
-    last_touch_[static_cast<std::size_t>(dst)] = epoch_;
-    // Move the reader list over node by node (pool indices re-based).
-    for (std::int32_t r = other.heads_[slot]; r != kNone; r = other.pool_[r].next) {
-      heads_[static_cast<std::size_t>(dst)] =
-          alloc_reader(other.pool_[r].thread, other.pool_[r].bytes,
-                       heads_[static_cast<std::size_t>(dst)]);
-    }
-  }
-  // Disjoint objects contribute disjoint pair updates: partial sums add.
-  pairs_ += other.pairs_;
 }
 
 void TcmAccumulator::reset() {

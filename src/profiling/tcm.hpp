@@ -7,13 +7,14 @@
 // (Horvitz-Thompson weighting) makes the sampled TCM an unbiased estimate of
 // the full-sampling map, so the paper's error metrics compare like with like.
 //
-// Two pipelines share the same semantics:
+// Every pipeline reads OAL log arenas (profiling/oal.hpp), and all share the
+// same semantics:
 //
 //  * `TcmBuilder::build_reference` — the textbook O(MN^2)-style pipeline the
 //    seed shipped: a hash map from object id to a per-object `vector<pair>`
 //    of readers (one rehash + one linear reader scan per entry), then a
-//    dense accrual into a fresh SquareMatrix.  Kept verbatim as the oracle
-//    for equivalence tests and as the "dense from scratch" side of
+//    dense accrual into a fresh SquareMatrix.  Kept as the oracle for
+//    equivalence tests and as the "dense from scratch" side of
 //    `bench_tcm_scale`.
 //  * the incremental sparse pipeline — `reorganize_arena` bucket-sorts a
 //    batch's entries into one contiguous CSR arena (no per-object vectors,
@@ -24,10 +25,11 @@
 //    *new* information only — re-logged entries that do not raise a reader's
 //    byte value cost a short list walk and no pair updates — and the dense
 //    N x N matrix is materialized only on demand (`dense()`).
+//  * the distributed CSR reducer (profiling/distributed_tcm.hpp), built on
+//    the same reorganize and merge machinery.
 //
-// `TcmBuilder::build` routes through the sparse pipeline; tests assert the
-// two pipelines agree within 1e-9 (bit-exact in practice, since byte weights
-// are integer-valued doubles).
+// Tests assert the pipelines agree within 1e-9 (bit-exact in practice, since
+// byte weights are integer-valued doubles).
 #pragma once
 
 #include <cstdint>
@@ -41,22 +43,12 @@
 
 namespace djvm {
 
-struct OalArena;  // profiling/ingest.hpp
-
 /// Reference to one interval slice inside an ingest log arena — the unit the
 /// distributed reducer buckets per node (a drained arena mixes slices from
 /// many threads, and with thread migration potentially many nodes).
 struct ArenaSliceRef {
   const OalArena* log = nullptr;
   std::uint32_t slice = 0;  ///< index into OalArena::intervals
-};
-
-/// Per-object access summary produced by OAL reorganization.
-struct ObjectAccessSummary {
-  ObjectId obj = kInvalidObject;
-  /// (thread, weighted bytes) — byte value is the maximum over the window's
-  /// intervals, Horvitz-Thompson scaled when `weighted` was requested.
-  std::vector<std::pair<ThreadId, double>> readers;
 };
 
 /// One batch of OAL entries reorganized into a flat CSR arena: object k's
@@ -102,8 +94,8 @@ class ObjectSlotMap {
 
 /// Reusable scratch for `reorganize_arena`: the slot map, bucket counters,
 /// flattened-entry buffers, and per-thread dedup stamps are released — not
-/// freed — between calls, so steady-state folding (one arena per submit()
-/// batch) stops re-allocating and re-zeroing the O(max object id) direct
+/// freed — between calls, so steady-state folding (one drained arena per
+/// fold) stops re-allocating and re-zeroing the O(max object id) direct
 /// table on every delivery.
 struct ArenaScratch {
   ObjectSlotMap slots;
@@ -116,31 +108,14 @@ struct ArenaScratch {
   std::uint64_t epoch = 0;  ///< stamp epoch, persists across calls (never reset)
 };
 
-/// Builds TCMs out of interval records.
+/// Builds TCMs out of OAL log arenas.
 class TcmBuilder {
  public:
-  /// Step 1: reorganize per-thread interval records into the flat CSR arena
-  /// (bucket sort, no per-object allocations).
+  /// Step 1: reorganize the arenas' interval slices into the flat CSR arena
+  /// (bucket sort, no per-object allocations).  Each slice provides the
+  /// logging thread for its entry range.
   [[nodiscard]] static ReaderArena reorganize_arena(
-      std::span<const IntervalRecord> records, bool weighted);
-
-  /// Scratch-reusing variant (the accumulator's per-batch fold path).
-  [[nodiscard]] static ReaderArena reorganize_arena(
-      std::span<const IntervalRecord> records, bool weighted,
-      ArenaScratch& scratch);
-
-  /// Reorganize over non-contiguous records (the distributed reducer's
-  /// per-node buckets reference records in place instead of copying them).
-  [[nodiscard]] static ReaderArena reorganize_arena(
-      std::span<const IntervalRecord* const> records, bool weighted,
-      ArenaScratch& scratch);
-
-  /// Same reorganize over one ingest log arena (see profiling/ingest.hpp):
-  /// the drained-ring fold path.  The log's interval slices provide the
-  /// logging thread per entry range; no IntervalRecord is ever materialized.
-  [[nodiscard]] static ReaderArena reorganize_arena(const OalArena& log,
-                                                   bool weighted,
-                                                   ArenaScratch& scratch);
+      std::span<const OalArena> logs, bool weighted, ArenaScratch& scratch);
 
   /// Reorganize over individual arena slices (the distributed reducer's
   /// per-node buckets of drained arenas).
@@ -157,30 +132,16 @@ class TcmBuilder {
                                                 const ReaderArena& b,
                                                 ArenaScratch& scratch);
 
-  /// Compatibility shim over `reorganize_arena` returning the per-object
-  /// summary form the distributed reducer's NodePartial monoid speaks.
-  [[nodiscard]] static std::vector<ObjectAccessSummary> reorganize(
-      std::span<const IntervalRecord> records, bool weighted);
-
-  /// Step 2 (reference): accrue shared bytes per thread pair from summaries
-  /// into a dense matrix.  Cell (i, j) accumulates min(bytes_i, bytes_j) per
-  /// object shared by threads i and j.
-  [[nodiscard]] static SquareMatrix accrue(
-      std::span<const ObjectAccessSummary> summaries, std::uint32_t threads);
-
   /// Step 2 (sparse): accrue an arena into an upper-triangular accumulator.
+  /// Cell (i, j) accumulates min(bytes_i, bytes_j) per object shared by
+  /// threads i and j.
   [[nodiscard]] static UpperTriangle accrue_sparse(const ReaderArena& arena,
                                                    std::uint32_t threads);
-
-  /// Convenience: reorganize + accrue via the sparse pipeline.
-  [[nodiscard]] static SquareMatrix build(std::span<const IntervalRecord> records,
-                                          std::uint32_t threads,
-                                          bool weighted = true);
 
   /// The seed's textbook pipeline (hash-map reorganize + dense accrual),
   /// kept as the equivalence oracle and bench baseline.
   [[nodiscard]] static SquareMatrix build_reference(
-      std::span<const IntervalRecord> records, std::uint32_t threads,
+      std::span<const OalArena> logs, std::uint32_t threads,
       bool weighted = true);
 };
 
@@ -233,7 +194,7 @@ struct TcmCompactStats {
   std::size_t freed_readers = 0;    ///< pool nodes returned to the free list
 };
 
-/// Persistent incremental sparse TCM accumulator: fold record batches in as
+/// Persistent incremental sparse TCM accumulator: fold arena batches in as
 /// deltas (`add`), merge partials (`merge`), and densify on demand.  The
 /// invariant maintained per object o and thread pair {i, j} is
 /// pair(i, j) == min(bytes_i(o), bytes_j(o)) summed over objects, so folding
@@ -251,31 +212,25 @@ struct TcmCompactStats {
 /// its reader nodes returned to a free list, its slot compacted away).
 /// Because every drop/decay is recomputed from the object's own reader list,
 /// live objects are never perturbed: the map restricted to touched objects
-/// stays bit-for-bit the map a from-scratch build over their records yields.
+/// stays bit-for-bit the map a from-scratch build over their entries yields.
 class TcmAccumulator {
  public:
   explicit TcmAccumulator(std::uint32_t threads, bool weighted = true);
 
-  /// Folds one batch of records in as a delta (arena-reorganized first, so
-  /// in-batch duplicates cost one stamp check, not a reader-list walk).
-  void add(std::span<const IntervalRecord> records);
-
-  /// Folds one drained ingest log arena in as a delta — identical semantics
-  /// to add(records) over the records the arena's slices describe, with no
-  /// per-interval vectors in between.
-  void add(const OalArena& log);
-
-  /// Folds an already-reorganized CSR arena in (the distributed reducer's
-  /// accrual path; byte values are already weighted).
-  void add(const ReaderArena& arena);
+  /// Folds one batch of log arenas in as a delta.  The batch is
+  /// CSR-reorganized first (one reorganize per call, across every arena in
+  /// the span), so in-batch duplicates cost one stamp check, not a
+  /// reader-list walk.  Folding a stream in any split of batches yields the
+  /// same map.
+  void add(std::span<const OalArena> logs);
 
   /// Folds one object's (thread, already-weighted bytes) reader list in.
   /// `klass` tags the object for per-class cell attribution; kInvalidClass
-  /// (partials built outside the record path) leaves it untagged, and those
+  /// (partials built outside the arena path) leaves it untagged, and those
   /// objects are skipped by attribute_cells.  Callers must bound `klass`
   /// against their class registry: attribute_cells sizes its class-indexed
-  /// vectors by the largest tag seen (the daemon sanitizes record entries
-  /// at submit() for exactly this reason).
+  /// vectors by the largest tag seen (the daemon sanitizes arena entries
+  /// before folding for exactly this reason).
   void add_readers(ObjectId obj,
                    std::span<const std::pair<ThreadId, double>> readers,
                    ClassId klass = kInvalidClass);
@@ -294,11 +249,6 @@ class TcmAccumulator {
   /// monoid: per-object reader lists union with max-combining; pair weights
   /// are replayed so cross-partial pairs appear).
   void merge(const TcmAccumulator& other);
-
-  /// Merge fast path for partials over *disjoint object sets* (parallel
-  /// accrual shards): reader lists move over and pair arrays simply add.
-  /// Asserts disjointness in debug builds.
-  void merge_disjoint_objects(const TcmAccumulator& other);
 
   /// Drops all accumulated state (keeps allocations for reuse).
   void reset();

@@ -12,18 +12,11 @@
 namespace djvm {
 namespace {
 
-IntervalRecord record(ThreadId thread, NodeId node,
-                      std::vector<OalEntry> entries) {
-  IntervalRecord r;
-  r.thread = thread;
-  r.node = node;
-  r.entries = std::move(entries);
-  return r;
+OalArena record(ThreadId thread, NodeId node, std::vector<OalEntry> entries) {
+  return interval_log(thread, std::move(entries), node);
 }
 
-void fold(TcmAccumulator& acc, std::vector<IntervalRecord> records) {
-  acc.add(records);
-}
+void fold(TcmAccumulator& acc, std::vector<OalArena> logs) { acc.add(logs); }
 
 TEST(TcmClassAttribution, SplitsPairMassByClassAgainstPlacement) {
   TcmAccumulator acc(4);
@@ -87,8 +80,9 @@ TEST(TcmClassAttribution, MergePropagatesClassTags) {
   const std::vector<NodeId> placement{0, 1};
   EXPECT_DOUBLE_EQ(a.attribute_cells(placement).cut_bytes[4], 10.0);
 
+  // A partial over a disjoint object set keeps its own tags too.
   fold(disjoint, {record(0, 0, {{2, 6, 8, 1}}), record(1, 1, {{2, 6, 8, 1}})});
-  a.merge_disjoint_objects(disjoint);
+  a.merge(disjoint);
   const TcmClassAttribution cells = a.attribute_cells(placement);
   EXPECT_DOUBLE_EQ(cells.cut_bytes[4], 10.0);
   EXPECT_DOUBLE_EQ(cells.cut_bytes[6], 8.0);
@@ -167,7 +161,7 @@ class DaemonAttributionTest : public ::testing::Test {
   SamplingPlan plan;
   /// Declared before the daemon: drained arenas recycle into the feeder's
   /// hub at the daemon's next run_epoch, so the hub must be destroyed last.
-  RecordFeeder feeder;
+  ArenaFeeder feeder;
   CorrelationDaemon daemon;
   ClassId shared = kInvalidClass;
   ClassId local = kInvalidClass;
@@ -201,7 +195,7 @@ TEST_F(DaemonAttributionTest, RunEpochAttributesCellsAgainstPlacement) {
 }
 
 TEST_F(DaemonAttributionTest, OutOfRegistryClassIdsAreUntaggedNotTrusted) {
-  // Records are external input: a class id beyond the registry (but not
+  // Entries are external input: a class id beyond the registry (but not
   // kInvalidClass) must not size the class-indexed attribution vectors —
   // the entry still folds into the map, just without attribution.
   const ObjectId a = heap.alloc(shared, 0);

@@ -8,6 +8,8 @@
 
 #include "core/djvm.hpp"
 
+#include "ingest_helpers.hpp"
+
 namespace djvm {
 namespace {
 
@@ -21,9 +23,6 @@ struct World {
     cfg.oal_transfer = OalTransfer::kLocalOnly;
     cfg.cost_attribution = attr;
     djvm = std::make_unique<Djvm>(cfg);
-    // These tests inspect per-entry gaps via drain_records(), which only
-    // materializes records when the observational tap is on.
-    djvm->gos().set_record_tap(true);
     djvm->spawn_threads_round_robin(2);
     hot = djvm->registry().register_class("Hot", 64);
     for (std::uint32_t i = 0; i < count; ++i) {
@@ -52,7 +51,9 @@ TEST(CachedCopySampling, AccessingNodeGapControlsWhatItLogs) {
 
   // Epoch 0 faults node 1's copies in; both nodes log under the base gap.
   w.run_epoch();
-  w.djvm->gos().drain_records();
+  // Discard epoch 0's log (the daemon is never pumped here: these tests
+  // read the raw OAL stream straight off the ingest hub).
+  (void)drain_hub(*w.djvm->ingest_hub());
 
   // Shift only node 1 (the caching node) and resample its copies.
   plan.set_node_gap_shift(1, w.hot, 2);
@@ -63,14 +64,16 @@ TEST(CachedCopySampling, AccessingNodeGapControlsWhatItLogs) {
 
   w.run_epoch();
   std::size_t node0_entries = 0, node1_entries = 0;
-  for (const IntervalRecord& r : w.djvm->gos().drain_records()) {
-    for (const OalEntry& e : r.entries) {
-      if (r.node == 0) {
-        ++node0_entries;
-        EXPECT_EQ(e.gap, base_gap);  // the home keeps the cluster view
-      } else {
-        ++node1_entries;
-        EXPECT_EQ(e.gap, shifted_gap);  // the caching node logs coarser
+  for (const OalArena& log : drain_hub(*w.djvm->ingest_hub())) {
+    for (const ArenaInterval& iv : log.intervals) {
+      for (std::uint32_t i = iv.begin; i < iv.end; ++i) {
+        if (iv.node == 0) {
+          ++node0_entries;
+          EXPECT_EQ(log.entries[i].gap, base_gap);  // home keeps cluster view
+        } else {
+          ++node1_entries;
+          EXPECT_EQ(log.entries[i].gap, shifted_gap);  // caching node: coarser
+        }
       }
     }
   }

@@ -14,12 +14,8 @@ class DaemonTest : public ::testing::Test {
     klass = reg.register_class("X", 64);
   }
 
-  IntervalRecord rec(ThreadId t, std::vector<OalEntry> entries) {
-    IntervalRecord r;
-    r.thread = t;
-    r.interval = next_interval_++;
-    r.entries = std::move(entries);
-    return r;
+  OalArena rec(ThreadId t, std::vector<OalEntry> entries) {
+    return interval_log(t, std::move(entries), kInvalidNode, next_interval_++);
   }
 
   KlassRegistry reg;
@@ -29,12 +25,12 @@ class DaemonTest : public ::testing::Test {
   IntervalId next_interval_ = 0;
   /// Outlives every test-local daemon (drained arenas are recycled back
   /// into its hub at the daemon's next run_epoch/build_full).
-  RecordFeeder feeder;
+  ArenaFeeder feeder;
 };
 
 TEST_F(DaemonTest, IngestAccumulatesPending) {
   CorrelationDaemon daemon(plan, 2);
-  std::vector<IntervalRecord> rs;
+  std::vector<OalArena> rs;
   rs.push_back(rec(0, {{1, klass, 64, 1}}));
   feeder.feed(daemon, std::move(rs));
   EXPECT_EQ(daemon.pending(), 1u);
@@ -43,7 +39,7 @@ TEST_F(DaemonTest, IngestAccumulatesPending) {
 
 TEST_F(DaemonTest, EpochBuildsTcmAndClearsPending) {
   CorrelationDaemon daemon(plan, 2);
-  std::vector<IntervalRecord> rs;
+  std::vector<OalArena> rs;
   rs.push_back(rec(0, {{1, klass, 64, 1}}));
   rs.push_back(rec(1, {{1, klass, 64, 1}}));
   feeder.feed(daemon, std::move(rs));
@@ -58,12 +54,12 @@ TEST_F(DaemonTest, EpochBuildsTcmAndClearsPending) {
 
 TEST_F(DaemonTest, SecondEpochReportsDistance) {
   CorrelationDaemon daemon(plan, 2);
-  std::vector<IntervalRecord> rs1;
+  std::vector<OalArena> rs1;
   rs1.push_back(rec(0, {{1, klass, 64, 1}}));
   rs1.push_back(rec(1, {{1, klass, 64, 1}}));
   feeder.feed(daemon, std::move(rs1));
   daemon.run_epoch();
-  std::vector<IntervalRecord> rs2;
+  std::vector<OalArena> rs2;
   rs2.push_back(rec(0, {{1, klass, 64, 1}}));
   rs2.push_back(rec(1, {{1, klass, 64, 1}}));
   feeder.feed(daemon, std::move(rs2));
@@ -80,13 +76,13 @@ TEST_F(DaemonTest, AdaptationTightensGapsUntilConverged) {
 
   const std::uint32_t gap_before = plan.real_gap(klass);
   // Epoch 1: some sharing.
-  std::vector<IntervalRecord> rs1;
+  std::vector<OalArena> rs1;
   rs1.push_back(rec(0, {{1, klass, 64, gap_before}}));
   rs1.push_back(rec(1, {{1, klass, 64, gap_before}}));
   feeder.feed(daemon, std::move(rs1));
   daemon.run_epoch();
   // Epoch 2: very different sharing -> distance above threshold -> tighten.
-  std::vector<IntervalRecord> rs2;
+  std::vector<OalArena> rs2;
   rs2.push_back(rec(0, {{2, klass, 64, gap_before}}));
   rs2.push_back(rec(1, {{3, klass, 64, gap_before}}));
   feeder.feed(daemon, std::move(rs2));
@@ -102,7 +98,7 @@ TEST_F(DaemonTest, AdaptationConvergesOnStableSharing) {
   CorrelationDaemon daemon(plan, 2);
   daemon.governor().arm(djvm::GovernorConfig::legacy(0.05));
   for (int epoch = 0; epoch < 2; ++epoch) {
-    std::vector<IntervalRecord> rs;
+    std::vector<OalArena> rs;
     rs.push_back(rec(0, {{1, klass, 64, 67}}));
     rs.push_back(rec(1, {{1, klass, 64, 67}}));
     feeder.feed(daemon, std::move(rs));
@@ -117,7 +113,7 @@ TEST_F(DaemonTest, AdaptationAtFullSamplingConvergesTrivially) {
   CorrelationDaemon daemon(plan, 2);
   daemon.governor().arm(djvm::GovernorConfig::legacy(0.0));  // impossible threshold
   for (int epoch = 0; epoch < 2; ++epoch) {
-    std::vector<IntervalRecord> rs;
+    std::vector<OalArena> rs;
     rs.push_back(rec(0, {{static_cast<ObjectId>(epoch), klass, 64, 1}}));
     rs.push_back(rec(1, {{static_cast<ObjectId>(epoch), klass, 64, 1}}));
     feeder.feed(daemon, std::move(rs));
@@ -129,12 +125,12 @@ TEST_F(DaemonTest, AdaptationAtFullSamplingConvergesTrivially) {
 
 TEST_F(DaemonTest, BuildFullCoversConsumedEpochsAndPending) {
   CorrelationDaemon daemon(plan, 2);
-  std::vector<IntervalRecord> rs1;
+  std::vector<OalArena> rs1;
   rs1.push_back(rec(0, {{1, klass, 64, 1}}));
   rs1.push_back(rec(1, {{1, klass, 64, 1}}));
   feeder.feed(daemon, std::move(rs1));
   daemon.run_epoch();
-  std::vector<IntervalRecord> rs2;
+  std::vector<OalArena> rs2;
   rs2.push_back(rec(0, {{2, klass, 32, 1}}));
   rs2.push_back(rec(1, {{2, klass, 32, 1}}));
   feeder.feed(daemon, std::move(rs2));
@@ -145,7 +141,7 @@ TEST_F(DaemonTest, BuildFullCoversConsumedEpochsAndPending) {
 
 TEST_F(DaemonTest, ClearResets) {
   CorrelationDaemon daemon(plan, 2);
-  std::vector<IntervalRecord> rs;
+  std::vector<OalArena> rs;
   rs.push_back(rec(0, {{1, klass, 64, 1}}));
   feeder.feed(daemon, std::move(rs));
   daemon.run_epoch();

@@ -12,7 +12,10 @@
 #include "export/timeline.hpp"
 #include "net/faults.hpp"
 #include "net/network.hpp"
+#include "profiling/accuracy.hpp"
 #include "profiling/distributed_tcm.hpp"
+
+#include "ingest_helpers.hpp"
 
 namespace djvm {
 namespace {
@@ -263,15 +266,14 @@ TEST(ReliableTransport, NoInjectorMeansNoRetryArithmetic) {
 // --- lost reduction-tree partials --------------------------------------------
 
 TEST(DegradedReduce, DeadNodePartialIsSkippedAndReported) {
-  // Records on three nodes; node 2 is dead, so its partial cannot ship.
-  std::vector<IntervalRecord> records;
+  // Thread n logs on node n: object 0 shared by all, object n + 1 private.
+  // Node 2 is dead, so its partial cannot ship.
+  std::vector<OalArena> logs;
   for (NodeId n = 0; n < 3; ++n) {
-    IntervalRecord r;
-    r.thread = n;
-    r.node = n;
-    r.entries.push_back({static_cast<ObjectId>(n), 0, 64, 1});
-    records.push_back(r);
+    logs.push_back(interval_log(
+        n, {{0, 0, 64, 1}, {static_cast<ObjectId>(n) + 1, 0, 32, 1}}, n));
   }
+  const std::vector<const OalArena*> ptrs = log_ptrs(logs);
 
   FaultKnobs plan;
   plan.enabled = true;
@@ -282,16 +284,25 @@ TEST(DegradedReduce, DeadNodePartialIsSkippedAndReported) {
 
   std::vector<NodeId> lost;
   const SquareMatrix map = DistributedTcmReducer::build(
-      records, /*threads=*/3, /*weighted=*/false, /*threads_hw=*/1, &net, &lost);
+      ptrs, /*threads=*/3, /*weighted=*/false, /*threads_hw=*/1, &net, &lost);
   ASSERT_EQ(lost.size(), 1u);
   EXPECT_EQ(lost[0], 2);
   EXPECT_EQ(map.size(), 3u);
+  // Incomplete, not wrong: exactly the survivors' map.
+  const std::vector<OalArena> survivors(logs.begin(), logs.begin() + 2);
+  const SquareMatrix survivor_ref =
+      TcmBuilder::build_reference(survivors, 3, false);
+  ASSERT_GT(survivor_ref.total(), 0.0);
+  EXPECT_LT(absolute_error(map, survivor_ref), 1e-9);
 
-  // Fault-free, the same records lose nothing.
+  // Fault-free, the same logs lose nothing.
   Network clean(SimCosts{});
   std::vector<NodeId> lost2;
-  (void)DistributedTcmReducer::build(records, 3, false, 1, &clean, &lost2);
+  const SquareMatrix full =
+      DistributedTcmReducer::build(ptrs, 3, false, 1, &clean, &lost2);
   EXPECT_TRUE(lost2.empty());
+  EXPECT_LT(absolute_error(full, TcmBuilder::build_reference(logs, 3, false)),
+            1e-9);
 }
 
 // --- degraded mode end to end ------------------------------------------------

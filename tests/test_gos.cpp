@@ -2,7 +2,11 @@
 // diff flushing, barriers, at-most-once OAL logging, footprinting timers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "dsm/gos.hpp"
+
+#include "ingest_helpers.hpp"
 
 namespace djvm {
 namespace {
@@ -160,18 +164,67 @@ TEST_F(GosTest, AtMostOnceLoggingPerInterval) {
   EXPECT_EQ(gos->stats().oal_entries, 2u);
 }
 
-TEST_F(GosTest, RecordsDeliveredAtIntervalClose) {
+TEST_F(GosTest, IntervalCloseHandsOalToItsOwnHub) {
+  // A standalone Gos (no Djvm) owns its ingest hub: one lane per spawned
+  // thread, fed at every interval close.
   init(OalTransfer::kLocalOnly);
-  const ObjectId o = gos->alloc(klass, 0);
-  gos->read(0, o);
-  EXPECT_EQ(gos->pending_records(), 0u);
+  ASSERT_EQ(gos->ingest().lane_count(), cfg.threads);
+  const ObjectId a = gos->alloc(klass, 0);
+  const ObjectId b = gos->alloc(klass, 1);
+  gos->read(0, a);
+  gos->set_phase(1, 5);
+  gos->read(1, a);
+  gos->read(1, b);
+  gos->set_phase(1, 6);
+  // Nothing is handed off before the interval closes.
+  EXPECT_TRUE(drain_hub(gos->ingest()).empty());
   gos->barrier_all();
-  const auto records = gos->drain_records();
-  ASSERT_EQ(records.size(), 1u);
-  EXPECT_EQ(records[0].thread, 0u);
-  ASSERT_EQ(records[0].entries.size(), 1u);
-  EXPECT_EQ(records[0].entries[0].obj, o);
-  EXPECT_EQ(records[0].entries[0].bytes, 128u);
+
+  // Drained after the barrier (try_pop, then take_stranded for the open
+  // arenas): every logged entry is published and drained exactly once.
+  const std::vector<OalArena> logs = drain_hub(gos->ingest());
+  const IngestCounters c = gos->ingest().counters();
+  EXPECT_EQ(gos->stats().oal_entries, 3u);
+  EXPECT_EQ(c.entries_published, gos->stats().oal_entries);
+  EXPECT_EQ(c.entries_drained, gos->stats().oal_entries);
+
+  // One slice per closed interval that logged anything, carrying the
+  // interval's context and its at-most-once OAL in logging order.
+  struct Slice {
+    ArenaInterval iv;
+    std::vector<OalEntry> entries;
+  };
+  std::vector<Slice> slices;
+  for (const OalArena& log : logs) {
+    for (const ArenaInterval& iv : log.intervals) {
+      slices.push_back({iv, {log.entries.begin() + iv.begin,
+                             log.entries.begin() + iv.end}});
+    }
+  }
+  ASSERT_EQ(slices.size(), 2u);
+  std::sort(slices.begin(), slices.end(), [](const Slice& x, const Slice& y) {
+    return x.iv.thread < y.iv.thread;
+  });
+  const std::uint32_t gap = plan->real_gap(klass);
+  EXPECT_EQ(slices[0].iv.thread, 0u);
+  EXPECT_EQ(slices[0].iv.node, 0u);
+  EXPECT_EQ(slices[0].iv.interval, 0u);
+  EXPECT_EQ(slices[0].iv.start_pc, 0u);
+  EXPECT_EQ(slices[0].iv.end_pc, 0u);
+  ASSERT_EQ(slices[0].entries.size(), 1u);
+  EXPECT_EQ(slices[0].entries[0].obj, a);
+  EXPECT_EQ(slices[0].entries[0].klass, klass);
+  EXPECT_EQ(slices[0].entries[0].bytes, 128u);
+  EXPECT_EQ(slices[0].entries[0].gap, gap);
+  EXPECT_EQ(slices[1].iv.thread, 1u);
+  EXPECT_EQ(slices[1].iv.node, 1u);
+  EXPECT_EQ(slices[1].iv.start_pc, 0u);  // interval opened before any label
+  EXPECT_EQ(slices[1].iv.end_pc, 6u);    // the label live at the close
+  ASSERT_EQ(slices[1].entries.size(), 2u);
+  EXPECT_EQ(slices[1].entries[0].obj, a);
+  EXPECT_EQ(slices[1].entries[1].obj, b);
+  EXPECT_EQ(slices[1].entries[1].bytes, 128u);
+  EXPECT_EQ(slices[1].entries[1].gap, gap);
 }
 
 TEST_F(GosTest, UnsampledObjectsNotLogged) {
@@ -191,7 +244,9 @@ TEST_F(GosTest, LocalOnlyModeSendsNoOalTraffic) {
   gos->read(0, o);
   gos->barrier_all();
   EXPECT_EQ(net->stats().bytes_of(MsgCategory::kOal), 0u);
-  EXPECT_EQ(gos->pending_records(), 1u);
+  const std::vector<OalArena> logs = drain_hub(gos->ingest());
+  ASSERT_EQ(logs.size(), 1u);
+  EXPECT_EQ(logs[0].intervals.size(), 1u);  // still handed to the hub
 }
 
 TEST_F(GosTest, SendModeShipsOalTraffic) {
@@ -222,7 +277,7 @@ TEST_F(GosTest, DisabledTrackingLogsNothing) {
   gos->read(0, o);
   gos->barrier_all();
   EXPECT_EQ(gos->stats().oal_entries, 0u);
-  EXPECT_EQ(gos->pending_records(), 0u);
+  EXPECT_TRUE(drain_hub(gos->ingest()).empty());
 }
 
 TEST_F(GosTest, PrefetchPopulatesCache) {

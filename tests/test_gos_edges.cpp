@@ -5,6 +5,8 @@
 
 #include "dsm/gos.hpp"
 
+#include "ingest_helpers.hpp"
+
 namespace djvm {
 namespace {
 
@@ -88,10 +90,11 @@ TEST_F(GosEdgeTest, PhaseLabelsDelimitIntervalContext) {
   gos->read(0, o);
   gos->set_phase(0, 8);
   gos->barrier_all();
-  const auto records = gos->drain_records();
-  ASSERT_EQ(records.size(), 1u);
-  EXPECT_EQ(records[0].start_pc, 0u);  // interval opened before any label
-  EXPECT_EQ(records[0].end_pc, 8u);
+  const std::vector<OalArena> logs = drain_hub(gos->ingest());
+  ASSERT_EQ(logs.size(), 1u);
+  ASSERT_EQ(logs[0].intervals.size(), 1u);
+  EXPECT_EQ(logs[0].intervals[0].start_pc, 0u);  // opened before any label
+  EXPECT_EQ(logs[0].intervals[0].end_pc, 8u);
 }
 
 TEST_F(GosEdgeTest, PiggybackDisabledChargesFullMessages) {
@@ -118,7 +121,9 @@ TEST_F(GosEdgeTest, CoordinatorOffMasterStillReceivesOals) {
   gos->read(0, o);
   gos->barrier_all();  // barrier goes to master 0; coordinator is 1
   EXPECT_GT(net->stats().bytes_of(MsgCategory::kOal), 0u);
-  EXPECT_EQ(gos->pending_records(), 1u);
+  const std::vector<OalArena> logs = drain_hub(gos->ingest());
+  ASSERT_EQ(logs.size(), 1u);
+  EXPECT_EQ(logs[0].intervals.size(), 1u);
 }
 
 TEST_F(GosEdgeTest, PrefetchUsesRequestedCategory) {

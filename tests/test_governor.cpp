@@ -764,20 +764,17 @@ TEST_F(GovernorTest, SnapshotFileRoundTrip) {
 TEST_F(GovernorTest, DaemonDelegatesToGovernorAndWarmStarts) {
   plan.set_nominal_gap(hot, 16);
   plan.set_nominal_gap(bulky, 16);
-  RecordFeeder feeder;
+  ArenaFeeder feeder;
   CorrelationDaemon daemon(plan, 2);
   GovernorConfig cfg = config();
   daemon.governor().arm(cfg);
 
   auto rec = [&](ThreadId t, ObjectId o) {
-    IntervalRecord r;
-    r.thread = t;
-    r.entries.push_back({o, hot, 16, plan.real_gap(hot)});
-    return r;
+    return interval_log(t, {{o, hot, 16, plan.real_gap(hot)}});
   };
   // Two identical epochs with app progress: distance 0 -> converge.
   for (int epoch = 0; epoch < 2; ++epoch) {
-    std::vector<IntervalRecord> rs;
+    std::vector<OalArena> rs;
     rs.push_back(rec(0, 1));
     rs.push_back(rec(1, 1));
     feeder.feed(daemon, std::move(rs));
@@ -1147,23 +1144,19 @@ TEST_F(PerNodeGovernorTest, SnapshotV1LoadsWithNodesSeededFromClusterView) {
 TEST_F(PerNodeGovernorTest, DaemonAttributesEpochStatsAndResamplesPerNode) {
   plan.set_nominal_gap(hot, 8);
   plan.set_nominal_gap(bulky, 8);
-  RecordFeeder feeder;
+  ArenaFeeder feeder;
   CorrelationDaemon daemon(plan, 2);
   daemon.governor().arm(config(/*per_node=*/true));
 
-  std::vector<IntervalRecord> rs;
-  IntervalRecord r0;
-  r0.thread = 0;
-  r0.node = 0;
-  r0.entries.push_back({1, bulky, 1024, plan.real_gap(bulky)});
-  rs.push_back(r0);
-  IntervalRecord r1;
-  r1.thread = 1;
-  r1.node = 1;
+  std::vector<OalArena> rs;
+  rs.push_back(
+      interval_log(0, {{1, bulky, 1024, plan.real_gap(bulky)}}, /*node=*/0));
+  std::vector<OalEntry> hot_entries;
   for (int i = 0; i < 50; ++i) {
-    r1.entries.push_back({static_cast<ObjectId>(i), hot, 16, plan.real_gap(hot)});
+    hot_entries.push_back(
+        {static_cast<ObjectId>(i), hot, 16, plan.real_gap(hot)});
   }
-  rs.push_back(r1);
+  rs.push_back(interval_log(1, std::move(hot_entries), /*node=*/1));
   feeder.feed(daemon, std::move(rs));
   daemon.run_epoch(skewed_sample(0.10));
 

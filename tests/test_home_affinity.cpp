@@ -4,6 +4,8 @@
 
 #include "balance/load_balancer.hpp"
 
+#include "ingest_helpers.hpp"
+
 namespace djvm {
 namespace {
 
@@ -13,12 +15,8 @@ class HomeAffinityTest : public ::testing::Test {
     klass = reg.register_class("X", 100);
   }
 
-  IntervalRecord rec(ThreadId t, std::vector<OalEntry> entries) {
-    IntervalRecord r;
-    r.thread = t;
-    r.interval = next_++;
-    r.entries = std::move(entries);
-    return r;
+  OalArena rec(ThreadId t, std::vector<OalEntry> entries) {
+    return interval_log(t, std::move(entries), kInvalidNode, next_++);
   }
 
   KlassRegistry reg;
@@ -29,7 +27,7 @@ class HomeAffinityTest : public ::testing::Test {
 
 TEST_F(HomeAffinityTest, AttributesBytesToHomeNode) {
   const ObjectId a = heap.alloc(klass, 2);
-  std::vector<IntervalRecord> rs;
+  std::vector<OalArena> rs;
   rs.push_back(rec(0, {{a, klass, 100, 1}}));
   const ThreadHomeAffinity m = build_home_affinity(rs, heap, 4, 4);
   EXPECT_DOUBLE_EQ(m.at(0, 2), 100.0);
@@ -39,7 +37,7 @@ TEST_F(HomeAffinityTest, AttributesBytesToHomeNode) {
 
 TEST_F(HomeAffinityTest, HtWeightingApplied) {
   const ObjectId a = heap.alloc(klass, 1);
-  std::vector<IntervalRecord> rs;
+  std::vector<OalArena> rs;
   rs.push_back(rec(0, {{a, klass, 10, 31}}));
   EXPECT_DOUBLE_EQ(build_home_affinity(rs, heap, 2, 4, true).at(0, 1), 310.0);
   EXPECT_DOUBLE_EQ(build_home_affinity(rs, heap, 2, 4, false).at(0, 1), 10.0);
@@ -47,7 +45,7 @@ TEST_F(HomeAffinityTest, HtWeightingApplied) {
 
 TEST_F(HomeAffinityTest, AtMostOncePerThreadObject) {
   const ObjectId a = heap.alloc(klass, 1);
-  std::vector<IntervalRecord> rs;
+  std::vector<OalArena> rs;
   rs.push_back(rec(0, {{a, klass, 100, 1}}));
   rs.push_back(rec(0, {{a, klass, 100, 1}}));  // re-logged next interval
   EXPECT_DOUBLE_EQ(build_home_affinity(rs, heap, 2, 4).at(0, 1), 100.0);
@@ -55,7 +53,7 @@ TEST_F(HomeAffinityTest, AtMostOncePerThreadObject) {
 
 TEST_F(HomeAffinityTest, ReflectsHomeMigration) {
   const ObjectId a = heap.alloc(klass, 1);
-  std::vector<IntervalRecord> rs;
+  std::vector<OalArena> rs;
   rs.push_back(rec(0, {{a, klass, 100, 1}}));
   heap.set_home(a, 3);  // home migrated after profiling
   const ThreadHomeAffinity m = build_home_affinity(rs, heap, 2, 4);
@@ -78,7 +76,7 @@ TEST_F(HomeAffinityTest, ThirdNodeHomeCase) {
   // merge them on node 0 or 1; the home-aware planner sends both to node 2.
   std::vector<ObjectId> shared;
   for (int i = 0; i < 50; ++i) shared.push_back(heap.alloc(klass, 2));
-  std::vector<IntervalRecord> rs;
+  std::vector<OalArena> rs;
   for (ThreadId t = 0; t < 2; ++t) {
     std::vector<OalEntry> entries;
     for (ObjectId o : shared) entries.push_back({o, klass, 100, 1});
@@ -107,7 +105,7 @@ TEST_F(HomeAffinityTest, ThirdNodeHomeCase) {
 
 TEST_F(HomeAffinityTest, ZeroHomeWeightDegeneratesToPairPlanner) {
   const ObjectId a = heap.alloc(klass, 2);
-  std::vector<IntervalRecord> rs;
+  std::vector<OalArena> rs;
   rs.push_back(rec(0, {{a, klass, 100, 1}}));
   const ThreadHomeAffinity home = build_home_affinity(rs, heap, 4, 4);
 
@@ -131,7 +129,7 @@ TEST_F(HomeAffinityTest, ZeroHomeWeightDegeneratesToPairPlanner) {
 }
 
 TEST_F(HomeAffinityTest, OutOfRangeEntriesIgnored) {
-  std::vector<IntervalRecord> rs;
+  std::vector<OalArena> rs;
   rs.push_back(rec(9, {{0, klass, 100, 1}}));        // thread out of range
   const ObjectId a = heap.alloc(klass, 1);
   rs.push_back(rec(0, {{a + 100, klass, 50, 1}}));   // object out of range

@@ -2,7 +2,7 @@
 // arena backpressure with the zero-loss invariant, stranded-arena collection
 // at producer exit, destructor drain ordering, a real-thread stress run (the
 // TSan CI lane executes this file), and arena-geometry invariance of the
-// fold: the same record stream must produce the same map whether it rides
+// fold: the same interval stream must produce the same map whether it rides
 // big arenas or tiny ones that split every interval, at both the daemon and
 // the GOS level.
 #include <gtest/gtest.h>
@@ -15,6 +15,8 @@
 #include "core/djvm.hpp"
 #include "profiling/correlation_daemon.hpp"
 #include "profiling/ingest.hpp"
+
+#include "ingest_helpers.hpp"
 
 namespace djvm {
 namespace {
@@ -70,7 +72,7 @@ TEST(SpscRing, CapacityRoundsUpToPowerOfTwo) {
 OalEntry entry(ObjectId obj) { return {obj, 0, 64, 1}; }
 
 TEST(IngestHub, IntervalSplitsAcrossFullArenas) {
-  IngestConfig cfg;
+  IngestKnobs cfg;
   cfg.arena_entries = 4;
   cfg.ring_depth = 8;
   IngestHub hub(cfg);
@@ -110,7 +112,7 @@ TEST(IngestHub, IntervalSplitsAcrossFullArenas) {
 }
 
 TEST(IngestHub, BackpressureParksArenasAndLosesNothing) {
-  IngestConfig cfg;
+  IngestKnobs cfg;
   cfg.arena_entries = 2;
   cfg.ring_depth = 1;
   IngestHub hub(cfg);
@@ -150,7 +152,7 @@ TEST(IngestHub, BackpressureParksArenasAndLosesNothing) {
 }
 
 TEST(IngestHub, TakeStrandedCollectsOpenArenaAtProducerExit) {
-  IngestConfig cfg;
+  IngestKnobs cfg;
   cfg.arena_entries = 16;
   cfg.ring_depth = 4;
   IngestHub hub(cfg);
@@ -180,7 +182,7 @@ TEST(IngestHub, DestructorReleasesOutstandingArenas) {
   // Leave arenas in every station — published (in-ring), parked, open,
   // recycled, spare — and destroy the hub; the sanitizer lanes verify no
   // leak and no double-free regardless of drain ordering.
-  IngestConfig cfg;
+  IngestKnobs cfg;
   cfg.arena_entries = 2;
   cfg.ring_depth = 1;
   IngestHub hub(cfg);
@@ -199,7 +201,7 @@ TEST(IngestHub, DestructorReleasesOutstandingArenas) {
 TEST(IngestHub, ConcurrentProducersSingleConsumerLoseNothing) {
   constexpr std::uint32_t kProducers = 4;
   constexpr std::uint64_t kIntervals = 2000;
-  IngestConfig cfg;
+  IngestKnobs cfg;
   cfg.arena_entries = 8;  // small arenas: constant publish/recycle churn
   cfg.ring_depth = 2;     // shallow rings: backpressure under load
   IngestHub hub(cfg);
@@ -256,7 +258,7 @@ TEST(IngestHub, ConcurrentProducersSingleConsumerLoseNothing) {
 }
 
 TEST(IngestHub, SteadyStateReusesRecycledArenas) {
-  IngestConfig cfg;
+  IngestKnobs cfg;
   cfg.arena_entries = 4;
   cfg.ring_depth = 4;
   IngestHub hub(cfg);
@@ -288,33 +290,24 @@ class IngestDaemonTest : public ::testing::Test {
 
   /// A deterministic batch: `threads` threads, `per_thread` intervals each,
   /// overlapping object footprints so the TCM is dense enough to diff.
-  std::vector<IntervalRecord> make_batch(std::uint32_t threads,
-                                         std::uint32_t per_thread,
-                                         std::uint64_t salt) {
-    std::vector<IntervalRecord> out;
+  /// One arena, one slice per interval.
+  OalArena make_batch(std::uint32_t threads, std::uint32_t per_thread,
+                      std::uint64_t salt) {
+    OalArena out;
     for (std::uint32_t t = 0; t < threads; ++t) {
       for (std::uint32_t i = 0; i < per_thread; ++i) {
-        IntervalRecord r;
-        r.thread = t;
-        r.interval = salt * 100 + i;
-        r.node = static_cast<NodeId>(t % 2);
-        r.start_pc = i;
-        r.end_pc = i + 1;
+        std::vector<OalEntry> entries;
         const std::uint32_t span = 3 + (t + i) % 4;
         for (std::uint32_t o = 0; o < span; ++o) {
-          r.entries.push_back({(salt + t + o) % 16, klass, 64, 1 + o % 2});
+          entries.push_back({(salt + t + o) % 16, klass, 64, 1 + o % 2});
         }
-        out.push_back(std::move(r));
+        append_interval(out,
+                        ArenaInterval{t, salt * 100 + i,
+                                      static_cast<NodeId>(t % 2), i, i + 1},
+                        entries);
       }
     }
     return out;
-  }
-
-  static void feed(IngestHub& hub, const std::vector<IntervalRecord>& batch) {
-    for (const IntervalRecord& r : batch) {
-      hub.append(r.thread, r.thread, r.interval, r.node, r.start_pc, r.end_pc,
-                 r.entries);
-    }
   }
 
   KlassRegistry reg;
@@ -328,7 +321,7 @@ TEST_F(IngestDaemonTest, EpochInvariantAcrossArenaGeometry) {
   CorrelationDaemon big(plan, kThreads);
   CorrelationDaemon tiny(plan, kThreads);
   IngestHub big_hub;  // default geometry: whole batches fit one arena
-  IngestConfig tiny_cfg;
+  IngestKnobs tiny_cfg;
   tiny_cfg.arena_entries = 4;  // forces per-interval splits
   tiny_cfg.ring_depth = 2;     // and backpressure parking
   IngestHub tiny_hub(tiny_cfg);
@@ -336,9 +329,9 @@ TEST_F(IngestDaemonTest, EpochInvariantAcrossArenaGeometry) {
   tiny_hub.ensure_lanes(kThreads);
 
   for (std::uint64_t epoch = 0; epoch < 3; ++epoch) {
-    const std::vector<IntervalRecord> batch = make_batch(kThreads, 5, epoch);
-    feed(big_hub, batch);
-    feed(tiny_hub, batch);
+    const OalArena batch = make_batch(kThreads, 5, epoch);
+    append_slices(big_hub, batch);
+    append_slices(tiny_hub, batch);
     ASSERT_GT(big.ingest(big_hub), 0u);
     ASSERT_GT(tiny.ingest(tiny_hub), 0u);
 
@@ -366,7 +359,7 @@ TEST_F(IngestDaemonTest, BuildFullCoversPendingArenas) {
   CorrelationDaemon big(plan, 4);
   CorrelationDaemon tiny(plan, 4);
   IngestHub big_hub;
-  IngestConfig tiny_cfg;
+  IngestKnobs tiny_cfg;
   tiny_cfg.arena_entries = 4;
   tiny_cfg.ring_depth = 2;
   IngestHub tiny_hub(tiny_cfg);
@@ -374,17 +367,17 @@ TEST_F(IngestDaemonTest, BuildFullCoversPendingArenas) {
   tiny_hub.ensure_lanes(4);
 
   // One folded epoch plus a pending (never-epoch'd) tail on both sides.
-  const std::vector<IntervalRecord> first = make_batch(4, 4, 1);
-  feed(big_hub, first);
-  feed(tiny_hub, first);
+  const OalArena first = make_batch(4, 4, 1);
+  append_slices(big_hub, first);
+  append_slices(tiny_hub, first);
   big.ingest(big_hub);
   tiny.ingest(tiny_hub);
   big.run_epoch();
   tiny.run_epoch();
 
-  const std::vector<IntervalRecord> tail = make_batch(4, 2, 2);
-  feed(big_hub, tail);
-  feed(tiny_hub, tail);
+  const OalArena tail = make_batch(4, 2, 2);
+  append_slices(big_hub, tail);
+  append_slices(tiny_hub, tail);
   big.ingest(big_hub);
   tiny.ingest(tiny_hub);
   EXPECT_GT(big.pending(), 0u);

@@ -11,6 +11,8 @@
 #include "common/rng.hpp"
 #include "dsm/gos.hpp"
 
+#include "ingest_helpers.hpp"
+
 namespace djvm {
 namespace {
 
@@ -183,18 +185,32 @@ TEST_P(AtMostOnceFuzz, LoggingNeverExceedsSampledObjectsPerInterval) {
     gos.barrier_all();
   }
 
-  // Every interval record must contain only sampled objects, each at most
-  // once, with correct amortized bytes and gap.
-  for (const IntervalRecord& rec : gos.drain_records()) {
-    std::set<ObjectId> seen;
-    for (const OalEntry& e : rec.entries) {
-      EXPECT_TRUE(seen.insert(e.obj).second)
-          << "object logged twice in one interval";
-      EXPECT_TRUE(plan.is_sampled(e.obj));
-      EXPECT_EQ(e.bytes, plan.sample_bytes(e.obj));
-      EXPECT_EQ(e.gap, plan.real_gap(klass));
+  // Every interval's OAL must contain only sampled objects, each at most
+  // once, with correct amortized bytes and gap.  Keyed by (thread,
+  // interval): an interval that splits across arenas is still one interval.
+  const std::vector<OalArena> logs = drain_hub(gos.ingest());
+  std::map<std::pair<ThreadId, IntervalId>, std::set<ObjectId>> seen;
+  std::uint64_t drained = 0;
+  for (const OalArena& log : logs) {
+    for (const ArenaInterval& iv : log.intervals) {
+      auto& interval_seen = seen[{iv.thread, iv.interval}];
+      for (std::uint32_t i = iv.begin; i < iv.end; ++i) {
+        const OalEntry& e = log.entries[i];
+        EXPECT_TRUE(interval_seen.insert(e.obj).second)
+            << "object logged twice in one interval";
+        EXPECT_TRUE(plan.is_sampled(e.obj));
+        EXPECT_EQ(e.bytes, plan.sample_bytes(e.obj));
+        EXPECT_EQ(e.gap, plan.real_gap(klass));
+        ++drained;
+      }
     }
   }
+  // Nothing logged went missing between the close and the drain.
+  EXPECT_GT(drained, 0u);
+  EXPECT_EQ(drained, gos.stats().oal_entries);
+  const IngestCounters c = gos.ingest().counters();
+  EXPECT_EQ(c.entries_published, c.entries_drained);
+  EXPECT_EQ(c.entries_drained, gos.stats().oal_entries);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, AtMostOnceFuzz, ::testing::Values(3, 17, 2026));

@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -513,6 +514,50 @@ TEST_F(SnapshotCompatTest, V7RoundTripCarriesValidCrcFooter) {
   SnapshotInfo info;
   EXPECT_TRUE(parse_snapshot(bytes, info));
   EXPECT_EQ(info.version, kSnapshotVersion);
+}
+
+TEST_F(SnapshotCompatTest, NonFiniteMapCellIsRejectedByBothReaders) {
+  // A blob whose checksum is valid but whose stored map holds a NaN or inf
+  // cell must not warm-start anything: parse_snapshot and decode_snapshot
+  // apply the same finiteness rule.
+  Governor gov(plan);
+  SquareMatrix tcm(2);
+  tcm.at(0, 1) = 42.0;
+  tcm.at(1, 0) = 42.0;
+  const std::vector<std::uint8_t> bytes = encode_snapshot(gov, tcm);
+  // Layout tail: ... n*n map doubles (row-major), 4-byte CRC32 footer.
+  ASSERT_GT(bytes.size(), 4 + 4 * sizeof(double));
+  const std::size_t cell01 = bytes.size() - 4 - 3 * sizeof(double);
+  const auto with_cell = [&](double v) {
+    std::vector<std::uint8_t> out = bytes;
+    std::memcpy(out.data() + cell01, &v, sizeof(v));
+    const std::uint32_t crc = crc32(out.data(), out.size() - 4);
+    std::memcpy(out.data() + out.size() - 4, &crc, sizeof(crc));
+    return out;
+  };
+
+  // Control: a finite rewrite with a recomputed footer loads, and the cell
+  // lands where the offset says — the probe edits the map, nothing else.
+  {
+    Governor g(plan);
+    SquareMatrix out;
+    SnapshotInfo info;
+    const std::vector<std::uint8_t> finite = with_cell(7.0);
+    EXPECT_TRUE(parse_snapshot(finite, info));
+    ASSERT_TRUE(decode_snapshot(finite, g, out));
+    EXPECT_DOUBLE_EQ(out.at(0, 1), 7.0);
+  }
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    const std::vector<std::uint8_t> blob = with_cell(bad);
+    SnapshotInfo info;
+    EXPECT_FALSE(parse_snapshot(blob, info)) << bad;
+    Governor g(plan);
+    SquareMatrix out;
+    EXPECT_FALSE(decode_snapshot(blob, g, out)) << bad;
+    EXPECT_EQ(out.size(), 0u) << "rejected blob must not touch the map";
+  }
 }
 
 TEST_F(SnapshotCompatTest, V6FixtureStillLoadsWithoutALease) {

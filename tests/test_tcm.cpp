@@ -4,44 +4,51 @@
 #include "profiling/accuracy.hpp"
 #include "profiling/tcm.hpp"
 
+#include "ingest_helpers.hpp"
+
 namespace djvm {
 namespace {
 
-IntervalRecord rec(ThreadId t, IntervalId i, std::vector<OalEntry> entries) {
-  IntervalRecord r;
-  r.thread = t;
-  r.interval = i;
-  r.entries = std::move(entries);
-  return r;
+OalArena rec(ThreadId t, IntervalId i, std::vector<OalEntry> entries) {
+  return interval_log(t, std::move(entries), kInvalidNode, i);
 }
 
-TEST(TcmBuilder, EmptyRecordsGiveZeroMatrix) {
-  const SquareMatrix tcm = TcmBuilder::build({}, 4);
+/// The production fold over `rs`, checked against the reference oracle on
+/// every call so each semantic case below pins both pipelines.
+SquareMatrix build(std::span<const OalArena> rs, std::uint32_t threads,
+                   bool weighted = true) {
+  const SquareMatrix fold = fold_map(rs, threads, weighted);
+  EXPECT_EQ(fold, TcmBuilder::build_reference(rs, threads, weighted));
+  return fold;
+}
+
+TEST(TcmBuilder, EmptyLogsGiveZeroMatrix) {
+  const SquareMatrix tcm = build({}, 4);
   EXPECT_DOUBLE_EQ(tcm.total(), 0.0);
   EXPECT_EQ(tcm.size(), 4u);
 }
 
 TEST(TcmBuilder, SharedObjectCreatesSymmetricCell) {
-  std::vector<IntervalRecord> rs;
+  std::vector<OalArena> rs;
   rs.push_back(rec(0, 0, {{7, 0, 100, 1}}));
   rs.push_back(rec(1, 0, {{7, 0, 100, 1}}));
-  const SquareMatrix tcm = TcmBuilder::build(rs, 2);
+  const SquareMatrix tcm = build(rs, 2);
   EXPECT_DOUBLE_EQ(tcm.at(0, 1), 100.0);
   EXPECT_DOUBLE_EQ(tcm.at(1, 0), 100.0);
 }
 
 TEST(TcmBuilder, UnsharedObjectContributesNothing) {
-  std::vector<IntervalRecord> rs;
+  std::vector<OalArena> rs;
   rs.push_back(rec(0, 0, {{1, 0, 100, 1}}));
   rs.push_back(rec(1, 0, {{2, 0, 100, 1}}));
-  const SquareMatrix tcm = TcmBuilder::build(rs, 2);
+  const SquareMatrix tcm = build(rs, 2);
   EXPECT_DOUBLE_EQ(tcm.total(), 0.0);
 }
 
 TEST(TcmBuilder, ThreeWaySharingHitsAllPairs) {
-  std::vector<IntervalRecord> rs;
+  std::vector<OalArena> rs;
   for (ThreadId t = 0; t < 3; ++t) rs.push_back(rec(t, 0, {{7, 0, 50, 1}}));
-  const SquareMatrix tcm = TcmBuilder::build(rs, 3);
+  const SquareMatrix tcm = build(rs, 3);
   EXPECT_DOUBLE_EQ(tcm.at(0, 1), 50.0);
   EXPECT_DOUBLE_EQ(tcm.at(0, 2), 50.0);
   EXPECT_DOUBLE_EQ(tcm.at(1, 2), 50.0);
@@ -50,48 +57,50 @@ TEST(TcmBuilder, ThreeWaySharingHitsAllPairs) {
 TEST(TcmBuilder, PairTakesMinBytes) {
   // Amortized array logging can differ across threads after a rate change;
   // the shared volume is the smaller of the two observations.
-  std::vector<IntervalRecord> rs;
+  std::vector<OalArena> rs;
   rs.push_back(rec(0, 0, {{7, 0, 100, 1}}));
   rs.push_back(rec(1, 0, {{7, 0, 60, 1}}));
-  const SquareMatrix tcm = TcmBuilder::build(rs, 2);
+  const SquareMatrix tcm = build(rs, 2);
   EXPECT_DOUBLE_EQ(tcm.at(0, 1), 60.0);
 }
 
 TEST(TcmBuilder, RepeatedIntervalsDoNotDoubleCount) {
   // The same object logged by the same thread across many intervals counts
   // once per window (max, not sum): the TCM estimates the sharing *volume*.
-  std::vector<IntervalRecord> rs;
+  std::vector<OalArena> rs;
   for (IntervalId i = 0; i < 5; ++i) {
     rs.push_back(rec(0, i, {{7, 0, 100, 1}}));
     rs.push_back(rec(1, i, {{7, 0, 100, 1}}));
   }
-  const SquareMatrix tcm = TcmBuilder::build(rs, 2);
+  const SquareMatrix tcm = build(rs, 2);
   EXPECT_DOUBLE_EQ(tcm.at(0, 1), 100.0);
 }
 
 TEST(TcmBuilder, WeightedAppliesGapScaling) {
-  std::vector<IntervalRecord> rs;
+  std::vector<OalArena> rs;
   rs.push_back(rec(0, 0, {{7, 0, 10, 31}}));
   rs.push_back(rec(1, 0, {{7, 0, 10, 31}}));
-  EXPECT_DOUBLE_EQ(TcmBuilder::build(rs, 2, true).at(0, 1), 310.0);
-  EXPECT_DOUBLE_EQ(TcmBuilder::build(rs, 2, false).at(0, 1), 10.0);
+  EXPECT_DOUBLE_EQ(build(rs, 2, true).at(0, 1), 310.0);
+  EXPECT_DOUBLE_EQ(build(rs, 2, false).at(0, 1), 10.0);
 }
 
 TEST(TcmBuilder, ReorganizeGroupsByObject) {
-  std::vector<IntervalRecord> rs;
+  std::vector<OalArena> rs;
   rs.push_back(rec(0, 0, {{1, 0, 10, 1}, {2, 0, 20, 1}}));
   rs.push_back(rec(1, 0, {{1, 0, 10, 1}}));
-  const auto summaries = TcmBuilder::reorganize(rs, false);
-  ASSERT_EQ(summaries.size(), 2u);
-  const auto& s1 = summaries[0].obj == 1 ? summaries[0] : summaries[1];
-  EXPECT_EQ(s1.readers.size(), 2u);
+  ArenaScratch scratch;
+  const ReaderArena arena = TcmBuilder::reorganize_arena(rs, false, scratch);
+  ASSERT_EQ(arena.object_count(), 2u);
+  EXPECT_EQ(arena.objects[0], 1u);  // first-appearance order
+  EXPECT_EQ(arena.readers_of(0).size(), 2u);
+  EXPECT_EQ(arena.readers_of(1).size(), 1u);
 }
 
 TEST(TcmBuilder, ThreadsOutOfRangeIgnored) {
-  std::vector<IntervalRecord> rs;
+  std::vector<OalArena> rs;
   rs.push_back(rec(0, 0, {{7, 0, 100, 1}}));
   rs.push_back(rec(9, 0, {{7, 0, 100, 1}}));  // beyond the 2-thread matrix
-  const SquareMatrix tcm = TcmBuilder::build(rs, 2);
+  const SquareMatrix tcm = build(rs, 2);
   EXPECT_DOUBLE_EQ(tcm.total(), 0.0);
 }
 

@@ -1,5 +1,5 @@
 // Incremental sparse TCM pipeline: equivalence with the dense-from-scratch
-// reference over randomized record streams (arbitrary ingest splits,
+// reference over randomized arena streams (arbitrary ingest splits,
 // mid-stream resets), arena reorganization, accumulator merges, and the
 // daemon's fold-at-ingest path.
 #include <gtest/gtest.h>
@@ -16,26 +16,22 @@
 namespace djvm {
 namespace {
 
-IntervalRecord rec(ThreadId t, IntervalId i, std::vector<OalEntry> entries) {
-  IntervalRecord r;
-  r.thread = t;
-  r.interval = i;
-  r.entries = std::move(entries);
-  return r;
+OalArena rec(ThreadId t, IntervalId i, std::vector<OalEntry> entries) {
+  return interval_log(t, std::move(entries), kInvalidNode, i);
 }
 
-/// Randomized stream: repeated (object, thread) sightings across records,
-/// varying bytes (so max-combining matters) and gaps (so HT weighting
-/// matters), objects skewed toward a hot prefix.
-std::vector<IntervalRecord> random_stream(std::uint64_t seed, std::uint32_t threads,
-                                          std::uint64_t objects, int records,
-                                          int entries_per_record) {
+/// Randomized stream, one interval per arena: repeated (object, thread)
+/// sightings across intervals, varying bytes (so max-combining matters) and
+/// gaps (so HT weighting matters), objects skewed toward a hot prefix.
+std::vector<OalArena> random_stream(std::uint64_t seed, std::uint32_t threads,
+                                    std::uint64_t objects, int intervals,
+                                    int entries_per_interval) {
   SplitMix64 rng(seed);
-  std::vector<IntervalRecord> out;
-  for (int i = 0; i < records; ++i) {
+  std::vector<OalArena> out;
+  for (int i = 0; i < intervals; ++i) {
     const auto t = static_cast<ThreadId>(rng.next_below(threads));
-    IntervalRecord r = rec(t, static_cast<IntervalId>(i), {});
-    for (int e = 0; e < entries_per_record; ++e) {
+    std::vector<OalEntry> entries;
+    for (int e = 0; e < entries_per_interval; ++e) {
       OalEntry entry;
       // Skew: half the entries land on the hottest 10% of objects.
       entry.obj = rng.next() % 2 == 0
@@ -44,9 +40,9 @@ std::vector<IntervalRecord> random_stream(std::uint64_t seed, std::uint32_t thre
       entry.klass = 0;
       entry.bytes = static_cast<std::uint32_t>(8 + rng.next_below(256));
       entry.gap = static_cast<std::uint32_t>(1 + rng.next_below(64));
-      r.entries.push_back(entry);
+      entries.push_back(entry);
     }
-    out.push_back(std::move(r));
+    out.push_back(rec(t, static_cast<IntervalId>(i), std::move(entries)));
   }
   return out;
 }
@@ -65,11 +61,13 @@ void expect_maps_equal(const SquareMatrix& a, const SquareMatrix& b,
 // --- arena reorganize ---------------------------------------------------------
 
 TEST(ReaderArena, BucketSortsAndDedupsWithMax) {
-  std::vector<IntervalRecord> rs;
+  std::vector<OalArena> rs;
   rs.push_back(rec(0, 0, {{7, 0, 100, 1}, {9, 0, 10, 1}, {7, 0, 40, 1}}));
   rs.push_back(rec(1, 1, {{7, 0, 60, 1}}));
   rs.push_back(rec(0, 2, {{7, 0, 120, 1}}));
-  const ReaderArena arena = TcmBuilder::reorganize_arena(rs, /*weighted=*/false);
+  ArenaScratch scratch;
+  const ReaderArena arena =
+      TcmBuilder::reorganize_arena(rs, /*weighted=*/false, scratch);
   ASSERT_EQ(arena.object_count(), 2u);
   EXPECT_EQ(arena.objects[0], 7u);  // first-appearance order
   EXPECT_EQ(arena.objects[1], 9u);
@@ -82,23 +80,39 @@ TEST(ReaderArena, BucketSortsAndDedupsWithMax) {
   EXPECT_EQ(arena.offsets.back(), arena.readers.size());
 }
 
-TEST(ReaderArena, CompatWrapperMatchesReferenceSummaries) {
-  const auto rs = random_stream(7, 8, 64, 50, 12);
-  const auto summaries = TcmBuilder::reorganize(rs, /*weighted=*/true);
-  // The wrapper must carry exactly the information the reference pipeline
-  // extracts: accruing both must give identical maps.
-  const SquareMatrix from_wrapper = TcmBuilder::accrue(summaries, 8);
+TEST(ReaderArena, SliceReorganizeMatchesArenaReorganize) {
+  // The reducer's per-slice reorganize and the fold's per-arena reorganize
+  // must carry exactly the same information: packed into 16-entry arenas
+  // (intervals split across them), both accrue to the reference map.
+  const auto rs = repack(random_stream(7, 8, 64, 50, 12), 16);
+  std::vector<ArenaSliceRef> slices;
+  for (const OalArena& a : rs) {
+    for (std::uint32_t s = 0; s < a.intervals.size(); ++s) {
+      slices.push_back({&a, s});
+    }
+  }
+  ArenaScratch scratch;
+  const SquareMatrix from_arenas =
+      TcmBuilder::accrue_sparse(TcmBuilder::reorganize_arena(rs, true, scratch), 8)
+          .densify();
+  const SquareMatrix from_slices =
+      TcmBuilder::accrue_sparse(
+          TcmBuilder::reorganize_arena(std::span<const ArenaSliceRef>(slices),
+                                       true, scratch),
+          8)
+          .densify();
   const SquareMatrix reference = TcmBuilder::build_reference(rs, 8, true);
-  expect_maps_equal(from_wrapper, reference, "wrapper summaries");
+  expect_maps_equal(from_arenas, reference, "arena reorganize");
+  expect_maps_equal(from_slices, reference, "slice reorganize");
 }
 
 TEST(ReaderArena, SparseObjectIdsSpillSafely) {
   // Ids far beyond the direct-index cap must not size an allocation.
-  std::vector<IntervalRecord> rs;
+  std::vector<OalArena> rs;
   const ObjectId huge = ObjectId{1} << 40;
   rs.push_back(rec(0, 0, {{huge, 0, 100, 1}, {3, 0, 50, 1}}));
   rs.push_back(rec(1, 1, {{huge, 0, 80, 1}}));
-  const SquareMatrix fast = TcmBuilder::build(rs, 2, false);
+  const SquareMatrix fast = fold_map(rs, 2, false);
   const SquareMatrix ref = TcmBuilder::build_reference(rs, 2, false);
   expect_maps_equal(fast, ref, "sparse ids");
   EXPECT_DOUBLE_EQ(fast.at(0, 1), 80.0);
@@ -110,20 +124,20 @@ TEST(TcmEquivalence, FastBuildMatchesReferenceRandomized) {
   for (const std::uint64_t seed : {1ull, 2ull, 42ull, 999ull}) {
     const auto rs = random_stream(seed, 16, 512, 200, 30);
     const SquareMatrix ref = TcmBuilder::build_reference(rs, 16, true);
-    const SquareMatrix fast = TcmBuilder::build(rs, 16, true);
+    const SquareMatrix fast = fold_map(rs, 16, true);
     ASSERT_GT(ref.total(), 0.0);
     expect_maps_equal(fast, ref, "one-shot build");
   }
 }
 
 TEST(TcmEquivalence, UnweightedAndThreadsOutOfRange) {
-  std::vector<IntervalRecord> rs;
+  std::vector<OalArena> rs;
   rs.push_back(rec(0, 0, {{7, 0, 100, 5}}));
   rs.push_back(rec(9, 1, {{7, 0, 100, 5}}));  // beyond the 2-thread matrix
   rs.push_back(rec(1, 2, {{7, 0, 60, 5}}));
-  expect_maps_equal(TcmBuilder::build(rs, 2, false),
+  expect_maps_equal(fold_map(rs, 2, false),
                     TcmBuilder::build_reference(rs, 2, false), "unweighted");
-  expect_maps_equal(TcmBuilder::build(rs, 2, true),
+  expect_maps_equal(fold_map(rs, 2, true),
                     TcmBuilder::build_reference(rs, 2, true), "weighted");
 }
 
@@ -137,7 +151,7 @@ TEST_P(IncrementalSweep, SplitSubmissionsMatchFromScratch) {
   const SquareMatrix ref = TcmBuilder::build_reference(rs, 12, true);
 
   // Fold the same stream in every split the seed dictates: 1 batch, uneven
-  // batches, one record at a time.
+  // batches, one interval at a time.
   SplitMix64 rng(seed ^ 0xABCD);
   for (int split = 0; split < 3; ++split) {
     TcmAccumulator acc(12, /*weighted=*/true);
@@ -147,7 +161,7 @@ TEST_P(IncrementalSweep, SplitSubmissionsMatchFromScratch) {
                          : split == 1 ? 1 + rng.next_below(40)
                                       : 1;
       take = std::min(take, rs.size() - pos);
-      acc.add(std::span<const IntervalRecord>(rs).subspan(pos, take));
+      acc.add(std::span<const OalArena>(rs).subspan(pos, take));
       pos += take;
     }
     expect_maps_equal(acc.dense(), ref, "split fold");
@@ -179,39 +193,26 @@ TEST(TcmAccumulator, MergeEqualsCombinedStream) {
   acc_b.add(b);
   acc_a.merge(acc_b);
 
-  std::vector<IntervalRecord> both = a;
+  std::vector<OalArena> both = a;
   both.insert(both.end(), b.begin(), b.end());
   expect_maps_equal(acc_a.dense(), TcmBuilder::build_reference(both, 10, true),
                     "merged partials");
-}
-
-TEST(TcmAccumulator, MergeDisjointObjectsAddsPairArrays) {
-  TcmAccumulator a(4), b(4);
-  a.add_readers(1, std::vector<std::pair<ThreadId, double>>{{0, 10.0}, {1, 20.0}});
-  b.add_readers(2, std::vector<std::pair<ThreadId, double>>{{2, 5.0}, {3, 6.0}});
-  a.merge_disjoint_objects(b);
-  const SquareMatrix m = a.dense();
-  EXPECT_DOUBLE_EQ(m.at(0, 1), 10.0);
-  EXPECT_DOUBLE_EQ(m.at(2, 3), 5.0);
-  EXPECT_EQ(a.objects_tracked(), 2u);
 }
 
 TEST(TcmAccumulator, MaxCombiningNeverDoubleCounts) {
   // The same (object, thread) re-logged with rising, falling, and equal
   // byte values must leave pair cells at min(max_i, max_j), exactly once.
   TcmAccumulator acc(2);
-  std::vector<IntervalRecord> rs;
+  std::vector<OalArena> rs;
   rs.push_back(rec(0, 0, {{7, 0, 50, 1}}));
   rs.push_back(rec(1, 1, {{7, 0, 80, 1}}));
   acc.add(rs);
   EXPECT_DOUBLE_EQ(acc.dense().at(0, 1), 50.0);
-  std::vector<IntervalRecord> more;
-  more.push_back(rec(0, 2, {{7, 0, 70, 1}}));  // raises thread 0's max
-  acc.add(more);
+  const OalArena more = rec(0, 2, {{7, 0, 70, 1}});  // raises thread 0's max
+  acc.add({&more, 1});
   EXPECT_DOUBLE_EQ(acc.dense().at(0, 1), 70.0);
-  std::vector<IntervalRecord> again;
-  again.push_back(rec(0, 3, {{7, 0, 30, 1}}));  // below the max: no change
-  acc.add(again);
+  const OalArena again = rec(0, 3, {{7, 0, 30, 1}});  // below the max: no change
+  acc.add({&again, 1});
   EXPECT_DOUBLE_EQ(acc.dense().at(0, 1), 70.0);
 }
 
@@ -246,7 +247,7 @@ TEST(DaemonIncremental, EpochTcmMatchesReferenceAcrossIngestSplits) {
   Heap heap(reg, 1);
   SamplingPlan plan(heap);
   reg.register_class("X", 64);
-  RecordFeeder feeder;
+  ArenaFeeder feeder;
   CorrelationDaemon daemon(plan, 12);
 
   const auto rs = random_stream(21, 12, 256, 120, 24);
@@ -275,7 +276,7 @@ TEST(DaemonIncremental, BuildFullIsIncrementalAcrossCalls) {
   Heap heap(reg, 1);
   SamplingPlan plan(heap);
   reg.register_class("X", 64);
-  RecordFeeder feeder;
+  ArenaFeeder feeder;
   CorrelationDaemon daemon(plan, 8);
 
   const auto a = random_stream(31, 8, 128, 50, 16);
@@ -284,7 +285,7 @@ TEST(DaemonIncremental, BuildFullIsIncrementalAcrossCalls) {
   expect_maps_equal(daemon.build_full(), TcmBuilder::build_reference(a, 8, true),
                     "first build_full");
   feeder.feed(daemon, b);
-  std::vector<IntervalRecord> both = a;
+  std::vector<OalArena> both = a;
   both.insert(both.end(), b.begin(), b.end());
   expect_maps_equal(daemon.build_full(),
                     TcmBuilder::build_reference(both, 8, true),
@@ -299,13 +300,13 @@ TEST(DaemonIncremental, BuildFullIsIncrementalAcrossCalls) {
 TEST(DaemonIncremental, BuildFullConsumesTheWindow) {
   // Pre-incremental semantics: build_full drains the pending window, so an
   // epoch run right after starts from nothing — the governor must not see a
-  // map whose records were already reported by build_full (zero entries
+  // map whose entries were already reported by build_full (zero entries
   // against a full map would corrupt its benefit/cost inputs).
   KlassRegistry reg;
   Heap heap(reg, 1);
   SamplingPlan plan(heap);
   reg.register_class("X", 64);
-  RecordFeeder feeder;
+  ArenaFeeder feeder;
   CorrelationDaemon daemon(plan, 8);
 
   const auto a = random_stream(41, 8, 128, 40, 16);

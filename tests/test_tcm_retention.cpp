@@ -9,38 +9,33 @@
 #include "profiling/distributed_tcm.hpp"
 #include "profiling/tcm.hpp"
 
+#include "ingest_helpers.hpp"
+
 namespace djvm {
 namespace {
 
 constexpr std::uint32_t kThreads = 8;
 
-IntervalRecord rec(ThreadId t, IntervalId i, std::vector<OalEntry> entries) {
-  IntervalRecord r;
-  r.thread = t;
-  r.interval = i;
-  r.node = static_cast<NodeId>(t % 2);
-  r.entries = std::move(entries);
-  return r;
-}
-
-/// Random records over object ids in [base, base + span).
-std::vector<IntervalRecord> stream_over(std::uint64_t seed, ObjectId base,
-                                        std::uint64_t span, int records,
-                                        int entries_per_record) {
+/// Random intervals (one per arena, thread t on node t % 2) over object
+/// ids in [base, base + span).
+std::vector<OalArena> stream_over(std::uint64_t seed, ObjectId base,
+                                  std::uint64_t span, int intervals,
+                                  int entries_per_interval) {
   SplitMix64 rng(seed);
-  std::vector<IntervalRecord> out;
-  for (int i = 0; i < records; ++i) {
+  std::vector<OalArena> out;
+  for (int i = 0; i < intervals; ++i) {
     const auto t = static_cast<ThreadId>(rng.next_below(kThreads));
-    IntervalRecord r = rec(t, static_cast<IntervalId>(i), {});
-    for (int e = 0; e < entries_per_record; ++e) {
+    std::vector<OalEntry> entries;
+    for (int e = 0; e < entries_per_interval; ++e) {
       OalEntry entry;
       entry.obj = base + rng.next_below(span);
       entry.klass = 0;
       entry.bytes = static_cast<std::uint32_t>(8 + rng.next_below(256));
       entry.gap = static_cast<std::uint32_t>(1 + rng.next_below(16));
-      r.entries.push_back(entry);
+      entries.push_back(entry);
     }
-    out.push_back(std::move(r));
+    out.push_back(interval_log(t, std::move(entries), static_cast<NodeId>(t % 2),
+                               static_cast<IntervalId>(i)));
   }
   return out;
 }
@@ -61,9 +56,9 @@ TEST(TcmRetention, DropStaleMatchesReferenceOverLiveRecords) {
   // re-folded every epoch.  After the stale set ages out, the accumulator
   // must equal a from-scratch reference build over the live records alone.
   const auto stale = stream_over(/*seed=*/1, /*base=*/0, /*span=*/64,
-                                 /*records=*/40, /*entries=*/12);
+                                 /*intervals=*/40, /*entries=*/12);
   const auto live = stream_over(/*seed=*/2, /*base=*/1000, /*span=*/64,
-                                /*records=*/40, /*entries=*/12);
+                                /*intervals=*/40, /*entries=*/12);
 
   TcmAccumulator acc(kThreads);
   acc.add(stale);
@@ -165,15 +160,15 @@ TEST(TcmRetention, MergeAfterCompactMatchesReference) {
   partial.add(incoming);
   acc.merge(partial);
 
-  std::vector<IntervalRecord> surviving = live;
+  std::vector<OalArena> surviving = live;
   surviving.insert(surviving.end(), incoming.begin(), incoming.end());
   expect_maps_near(acc.dense(),
                    TcmBuilder::build_reference(surviving, kThreads),
                    "merge-after-compact vs reference");
-  // And the distributed reducer over the same surviving records agrees —
+  // And the distributed reducer over the same surviving logs agrees —
   // compaction composes with the reduction monoid.
   expect_maps_near(acc.dense(),
-                   DistributedTcmReducer::build(surviving, kThreads,
+                   DistributedTcmReducer::build(log_ptrs(surviving), kThreads,
                                                 /*weighted=*/true),
                    "merge-after-compact vs distributed reducer");
 }
