@@ -1,9 +1,9 @@
 // CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320), dependency-free.
 //
-// Used as the integrity footer on governor snapshots (format v6+): the
-// encoder appends crc32(bytes[0..n)) and the parser refuses any blob whose
-// footer does not match, so a torn write or bit flip can never decode into a
-// plausible-but-wrong governor state.
+// Used as the integrity footer on governor snapshots (the last field of the
+// v7 format): the encoder appends crc32(bytes[0..n)) and the parser refuses
+// any blob whose footer does not match, so a torn write or bit flip can
+// never decode into a plausible-but-wrong governor state.
 #pragma once
 
 #include <array>

@@ -230,7 +230,7 @@ std::string export_snapshot_json(const SnapshotInfo& info,
   }
   out += ']';
 
-  // v5 executed-migration history (empty arrays for older snapshots).
+  // Executed-migration history.
   out += ",\"migrations_executed\":" + std::to_string(info.migrations_executed);
   out += ",\"migrations\":[";
   for (std::size_t i = 0; i < info.migrations.size(); ++i) {

@@ -10,85 +10,80 @@
 // Format v7, host-endian, fixed-width fields (round-trips bit-exactly on
 // the writing host; a foreign-endian reader rejects the file at the magic
 // check and cold-starts rather than misreading it):
-//   u32 magic 'DJGV'   u32 version
+//   u32 magic 'DJGV'   u32 version (7)
 //   u8 mode            u8 state
 //   u8 flags (bit 0: per-node budget enforcement)   u8 reserved
 //   f64 overhead_budget   f64 distance_threshold
 //   f64 hysteresis        f64 phase_spike_factor
-//   f64 node_budget (0 = inherit overhead_budget)          [v2+]
+//   f64 node_budget (0 = inherit overhead_budget)
 //   u32 sentinel_coarsen_shifts   u32 max_nominal_gap
 //   u64 epochs_seen       u64 rearms
 //   u32 class_count
-//     class_count x { u32 class_id, u32 nominal_gap, u32 real_gap,
+//     class_count x { u32 class_id (entry i is class i: registry ids are
+//                     dense), u32 nominal_gap, u32 real_gap,
 //                     u32 converged_nominal (0 = not captured),
 //                     u32 flags (bit 0: rate was ever assigned; unset =
 //                     placeholder gaps, left untouched on load so the
 //                     class still inherits the cluster default rate) }
-//   u32 shift_node_count                                    [v2+]
-//     shift_node_count x class_count x u8 per-node gap shift [v2+]
-//   u32 copy_node_count                                     [v3+]
-//     copy_node_count x { u64 copy_registrations,           [v3+]
-//                         u64 resample_visits }
-//   u8 backoff_scoring   u8 influence_seen   u16 reserved   [v4]
-//   f64 influence_decay                                     [v4]
-//   u32 influence_count                                     [v4]
-//     influence_count x { u32 class_id, f64 influence }     [v4]
-//   u64 migrations_executed                                 [v5]
-//   u32 migration_count                                     [v5]
-//     migration_count x { u64 epoch, u32 thread,            [v5]
+//   u32 shift_node_count
+//     shift_node_count x class_count x u8 per-node gap shift
+//   u32 copy_node_count
+//     copy_node_count x { u64 copy_registrations, u64 resample_visits }
+//   u8 backoff_scoring   u8 influence_seen   u16 reserved
+//   f64 influence_decay
+//   u32 influence_count
+//     influence_count x { u32 class_id, f64 influence }
+//   u64 migrations_executed
+//   u32 migration_count
+//     migration_count x { u64 epoch, u32 thread,
 //                         u16 from_node, u16 to_node,
 //                         f64 gain_bytes, f64 sim_cost_seconds,
 //                         u64 prefetched_bytes }
-//   u8 has_lease (0/1)                                      [v7]
-//     if has_lease: { u32 tenant, u32 tier,                  [v7]
+//   u8 has_lease (0/1)
+//     if has_lease: { u32 tenant, u32 tier,
 //                     f64 weight, f64 granted_budget,
 //                     f64 fair_share, f64 floor,
 //                     u64 borrowed_epochs, u64 lent_epochs }
 //   u64 tcm_dimension
 //     dimension^2 x f64 (row-major)
-//   u32 crc32 over every preceding byte                      [v6]
+//   u32 crc32 over every preceding byte
 //
-// The v3 copy summary records the cached-copy sampling bookkeeping — how
+// The copy summary records the cached-copy sampling bookkeeping — how
 // many copy bits each node has registered (fault-ins, prefetches) and how
 // many resampling copy visits it has paid — so a warm-started run continues
 // the counters that tell where sampling cost was actually incurred.
 //
-// The v4 influence table persists the governor's decayed balancer-influence
+// The influence table persists the governor's decayed balancer-influence
 // shares (the fraction of each class's correlation mass placement decisions
 // act on) plus the scoring mode and decay, so a warm-started run backs off
 // the right classes immediately instead of re-learning influence from
 // scratch.  Zero-influence classes are trimmed (bit-exact re-encode).
 //
-// The v5 migration history persists the facade's executed-migration log
+// The migration history persists the facade's executed-migration log
 // (see Governor::record_migration): per-thread cooldown stamps are rebuilt
 // from the entries on load, so a warm-started run neither re-migrates a
 // thread the previous run just moved nor forgets which moves the influence
 // table already credits.
 //
-// The v6 CRC32 footer (common/crc32.hpp, IEEE polynomial) covers every
+// The tenant lease persists the arbiter grant governing the instance
+// (identity, granted budget, fair share, floor, borrow/lend epoch counters)
+// so a recovered tenant resumes under its last grant instead of snapping
+// back to the static config budget.
+//
+// The CRC32 footer (common/crc32.hpp, IEEE polynomial) covers every
 // preceding byte.  Files are always written temp-then-atomic-rename, so a
 // crash mid-write leaves the previous good snapshot in place; the footer
 // closes the remaining hole — a torn or bit-flipped blob that still *looks*
 // structurally plausible is rejected at the checksum before any field is
-// trusted.  v1–v5 files carry no footer and still load.
+// trusted.
 //
-// v1 files (no flags byte meaning — it was reserved padding — and none of
-// the [v2+] fields) still load: the restored governor keeps its
-// machine-local per-node policy knobs and every node is seeded from the
-// cluster view (all gap shifts zero), so a pre-per-node snapshot
-// warm-starts a per-node governor cleanly.  v2 files load the same way
-// minus the copy summary (counters start at zero).  v3 files additionally
-// keep the live governor's machine-local scoring mode and influence table
-// (pre-v4 snapshots have no opinion on either), and v4 files keep the
-// history the live governor has already accumulated (pre-v5 snapshots
-// carry no migration log).  The v7 tenant lease persists the arbiter grant
-// governing the instance (identity, granted budget, fair share, floor,
-// borrow/lend epoch counters) so a recovered tenant resumes under its last
-// grant instead of snapping back to the static config budget; pre-v7 files
-// leave the live governor's lease untouched.  Loading resamples only the
-// classes whose gaps
-// or shifts actually differ from the live plan, so restoring a snapshot
-// into an already-warm world is not a full resample storm.
+// One reader: parse_snapshot is the only code that reads fields from
+// snapshot bytes, and it accepts kSnapshotVersion alone.  decode_snapshot
+// is parse_snapshot, then a check that the live class registry is large
+// enough, then apply; a file of any other version is rejected like a
+// corrupt one, so the run cold-starts.  Loading resamples only the classes
+// whose gaps or shifts actually differ from the live plan, so restoring a
+// snapshot into an already-warm world is not a full resample storm.
 #pragma once
 
 #include <condition_variable>
@@ -105,21 +100,8 @@
 namespace djvm {
 
 inline constexpr std::uint32_t kSnapshotMagic = 0x56474A44;  // "DJGV"
-/// Version written by encode_snapshot; decode also accepts the older
-/// kSnapshotVersionV1..V6 layouts (read compatibility).
+/// The one version encode_snapshot writes and parse_snapshot accepts.
 inline constexpr std::uint32_t kSnapshotVersion = 7;
-inline constexpr std::uint32_t kSnapshotVersionV1 = 1;
-inline constexpr std::uint32_t kSnapshotVersionV2 = 2;
-inline constexpr std::uint32_t kSnapshotVersionV3 = 3;
-/// Decode gates each section on its own pinned constant (never on the
-/// moving kSnapshotVersion), so bumping the current version cannot silently
-/// drop an older section from files that carry it.
-inline constexpr std::uint32_t kSnapshotVersionV4 = 4;
-inline constexpr std::uint32_t kSnapshotVersionV5 = 5;
-/// First version carrying the CRC32 integrity footer.
-inline constexpr std::uint32_t kSnapshotVersionV6 = 6;
-/// First version carrying the tenant budget lease.
-inline constexpr std::uint32_t kSnapshotVersionV7 = 7;
 
 /// Serializes the governor's state, the plan's per-class gaps, and `tcm`
 /// (pass the daemon's latest converged map).
@@ -127,10 +109,10 @@ inline constexpr std::uint32_t kSnapshotVersionV7 = 7;
                                                         const SquareMatrix& tcm);
 
 /// Restores governor state and per-class gaps into `gov` (and its plan) and
-/// writes the stored map into `tcm`.  The class registry must already hold
-/// the snapshot's classes (warm starts re-register classes
-/// deterministically).  Returns false on bad magic/version/truncation or
-/// unknown class ids; the governor is unchanged on failure.
+/// writes the stored map into `tcm`: parse_snapshot, then a check that the
+/// live class registry holds at least the snapshot's classes (warm starts
+/// re-register classes deterministically), then apply.  Returns false when
+/// either check rejects the blob; `gov` and `tcm` are unchanged on failure.
 [[nodiscard]] bool decode_snapshot(const std::vector<std::uint8_t>& bytes,
                                    Governor& gov, SquareMatrix& tcm);
 
@@ -144,10 +126,10 @@ inline constexpr std::uint32_t kSnapshotVersionV7 = 7;
 
 /// Crash recovery: tries each candidate path in order (pass newest first)
 /// and restores the first snapshot that loads — missing files and blobs the
-/// decoder rejects (bad magic, truncation, failed v6 checksum) are skipped,
-/// not fatal.  Returns the index of the candidate that loaded, or nullopt
-/// for a cold start; the governor is untouched until a candidate validates
-/// fully.
+/// decoder rejects (bad magic, another version, truncation, failed
+/// checksum) are skipped, not fatal.  Returns the index of the candidate
+/// that loaded, or nullopt for a cold start; the governor is untouched
+/// until a candidate validates fully.
 [[nodiscard]] std::optional<std::size_t> recover_snapshot(
     const std::vector<std::string>& candidates, Governor& gov,
     SquareMatrix& tcm);
@@ -161,15 +143,13 @@ inline constexpr std::uint32_t kSnapshotVersionV7 = 7;
 [[nodiscard]] std::vector<std::string> recover_timeline(
     const std::string& path, bool* torn = nullptr);
 
-/// Registry-independent view of one decoded snapshot, for offline tooling
-/// (src/export/ and tools/djvm_export).  decode_snapshot applies a file to a
-/// *live* governor and validates class ids against the live registry;
-/// parse_snapshot checks structure only, so any v1–v7 file from any run can
-/// be converted to pprof/flamegraph/JSON without reconstructing the run.
-/// Kept next to the encoder because this file owns the format: a layout
-/// change must update encode, decode, and parse together.
+/// Registry-independent view of one parsed snapshot: what decode_snapshot
+/// applies to a live governor, and what offline tooling (src/export/ and
+/// tools/djvm_export) converts to pprof/flamegraph/JSON without
+/// reconstructing the run.  Kept next to the encoder because this file owns
+/// the format: a layout change must update encode and parse together.
 struct SnapshotInfo {
-  std::uint32_t version = 0;
+  std::uint32_t version = 0;  ///< always kSnapshotVersion once parsed
   std::uint8_t mode = 0;
   std::uint8_t state = 0;
   bool per_node = false;
@@ -177,7 +157,7 @@ struct SnapshotInfo {
   double distance_threshold = 0.0;
   double hysteresis = 0.0;
   double phase_spike_factor = 0.0;
-  double node_budget = 0.0;  ///< v2+ (0 on v1 files)
+  double node_budget = 0.0;
   std::uint32_t sentinel_coarsen_shifts = 0;
   std::uint32_t max_nominal_gap = 0;
   std::uint64_t epochs_seen = 0;
@@ -190,10 +170,10 @@ struct SnapshotInfo {
     std::uint32_t converged_gap = 0;  ///< 0 = not captured
     bool rated = false;               ///< flags bit 0: rate ever assigned
   };
-  std::vector<ClassGap> classes;
+  std::vector<ClassGap> classes;  ///< classes[i].id == i
 
   /// Per-(node, class) gap shifts, row-major `[node * classes.size() + c]`
-  /// over `shift_nodes` rows (v2+; empty on v1 files).
+  /// over `shift_nodes` rows.
   std::uint32_t shift_nodes = 0;
   std::vector<std::uint8_t> node_gap_shifts;
 
@@ -201,36 +181,20 @@ struct SnapshotInfo {
     std::uint64_t registrations = 0;
     std::uint64_t resample_visits = 0;
   };
-  std::vector<CopyNode> copy_nodes;  ///< v3+ cached-copy bookkeeping
+  std::vector<CopyNode> copy_nodes;  ///< cached-copy bookkeeping
 
-  std::uint8_t backoff_scoring = 0;  ///< v4+
+  std::uint8_t backoff_scoring = 0;
   bool influence_seen = false;
   double influence_decay = 0.0;
-  std::vector<std::pair<std::uint32_t, double>> influence;  ///< ascending ids
+  /// Ascending class ids, each below classes.size().
+  std::vector<std::pair<std::uint32_t, double>> influence;
 
-  std::uint64_t migrations_executed = 0;  ///< v5+ total (counts past the cap)
-  struct Migration {
-    std::uint64_t epoch = 0;
-    std::uint32_t thread = 0;
-    std::uint16_t from = 0;
-    std::uint16_t to = 0;
-    double gain_bytes = 0.0;
-    double sim_cost_seconds = 0.0;
-    std::uint64_t prefetched_bytes = 0;
-  };
-  std::vector<Migration> migrations;  ///< v5+ history, chronological
+  std::uint64_t migrations_executed = 0;  ///< total (counts past the cap)
+  using Migration = Governor::ExecutedMigration;
+  std::vector<Migration> migrations;  ///< history, chronological
 
-  bool has_lease = false;  ///< v7+ tenant budget lease present
-  struct Lease {
-    std::uint32_t tenant = 0;
-    std::uint32_t tier = 0;
-    double weight = 0.0;
-    double granted_budget = 0.0;
-    double fair_share = 0.0;
-    double floor = 0.0;
-    std::uint64_t borrowed_epochs = 0;
-    std::uint64_t lent_epochs = 0;
-  };
+  bool has_lease = false;  ///< tenant budget lease present
+  using Lease = Governor::TenantLease;
   Lease lease;  ///< meaningful only when has_lease
 
   SquareMatrix tcm;
@@ -245,10 +209,15 @@ struct SnapshotInfo {
   }
 };
 
-/// Parses a snapshot without touching any live state.  Returns false on bad
-/// magic/version, truncation, structural corruption (counts that cannot
-/// fit the remaining bytes, out-of-range enums, non-finite knobs), or a
-/// failed v6 CRC32 footer check; `out` is unspecified on failure.  Never
+/// Parses a snapshot without touching any live state; the only code that
+/// reads fields from snapshot bytes.  Returns false on bad magic, any
+/// version but kSnapshotVersion, a failed CRC32 footer, truncation or
+/// trailing bytes, and on any value the encoder never writes: counts that
+/// cannot fit the remaining bytes, class entry i not carrying id i,
+/// influence ids at or past the class count, out-of-range enums or
+/// mode/state pairs, negative or non-finite knobs and map cells, a zero
+/// gap on a rated class, untrimmed tables, an implausible migration or a
+/// lease floor above its grant.  `out` is unspecified on failure.  Never
 /// throws, never reads out of bounds.
 [[nodiscard]] bool parse_snapshot(const std::vector<std::uint8_t>& bytes,
                                   SnapshotInfo& out);

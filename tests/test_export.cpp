@@ -3,15 +3,19 @@
 // and the pprof/collapsed/JSON/timeline exporters.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <fstream>
 #include <sstream>
 
+#include "balance/balancer_feedback.hpp"
 #include "core/djvm.hpp"
 #include "export/exporter.hpp"
 #include "export/pprof.hpp"
 #include "export/timeline.hpp"
 #include "governor/snapshot.hpp"
+
+#include "snapshot_helpers.hpp"
 
 namespace djvm {
 namespace {
@@ -183,10 +187,9 @@ TEST_F(ExportFixture, ParseSnapshotRejectsCorruptHeader) {
     EXPECT_FALSE(parse_snapshot(bad, info));
   }
   {
-    // Huge class count cannot fit the remaining bytes.
+    // Huge class count cannot fit the remaining bytes.  Re-sealed, so the
+    // count reaches its bound instead of failing the checksum.
     std::vector<std::uint8_t> bad = bytes;
-    // class_count sits after the fixed v4 header: locate it by re-parsing
-    // legitimately and checking the parser rejects an inflated count.
     // Offset: magic(4)+ver(4)+mode/state/flags/reserved(4)+5*f64(40)+2*u32(8)
     //         +2*u64(16) = 76.
     const std::size_t off = 76;
@@ -194,8 +197,60 @@ TEST_F(ExportFixture, ParseSnapshotRejectsCorruptHeader) {
     const std::uint32_t huge = 0x7FFFFFFF;
     std::memcpy(bad.data() + off, &huge, sizeof huge);
     SnapshotInfo info;
-    EXPECT_FALSE(parse_snapshot(bad, info));
+    EXPECT_FALSE(parse_snapshot(resealed(bad), info));
   }
+}
+
+TEST(SnapshotExport, InfluenceIdPastTheClassCountIsRejected) {
+  // One class, one influence entry, a 2x2 map: a 193-byte blob.  An
+  // influence id past the class count must not parse: at 0xFFFFFFFF,
+  // export_pprof's per-class table would size itself by an `id + 1` that
+  // wraps to 0 and then write out of bounds.
+  KlassRegistry reg;
+  Heap heap(reg, 1);
+  reg.register_class("Only", 64);
+  SamplingPlan plan(heap);
+  Governor gov(plan);
+  gov.arm(GovernorConfig{});
+  BalancerFeedback fb;
+  fb.influence = {0.625};  // a byte pattern the test can find
+  fb.mass = {1.0};
+  fb.total_mass = 1.0;
+  fb.valid = true;
+  gov.observe_balancer_feedback(fb);
+  SquareMatrix tcm(2);
+  tcm.at(0, 1) = tcm.at(1, 0) = 512.0;
+  const std::vector<std::uint8_t> good = encode_snapshot(gov, tcm);
+  ASSERT_EQ(good.size(), 193u);
+
+  // The influence entry is {u32 class id, f64 share}: the id sits right
+  // before the share's bytes.
+  const double share = 0.625;
+  std::uint8_t pat[sizeof share];
+  std::memcpy(pat, &share, sizeof share);
+  const auto it = std::search(good.begin(), good.end(), pat, pat + sizeof pat);
+  ASSERT_NE(it, good.end());
+  const auto id_pos = static_cast<std::size_t>(it - good.begin()) - 4;
+  const auto with_id = [&](std::uint32_t id) {
+    std::vector<std::uint8_t> out = good;
+    std::memcpy(out.data() + id_pos, &id, sizeof id);
+    return resealed(out);
+  };
+
+  SnapshotInfo info;
+  EXPECT_FALSE(parse_snapshot(with_id(0xFFFFFFFFu), info));
+  EXPECT_FALSE(parse_snapshot(with_id(1), info));  // == the class count
+
+  // The same blob naming class 0 parses and runs every exporter.
+  ASSERT_TRUE(parse_snapshot(with_id(0), info));
+  ASSERT_EQ(info.influence.size(), 1u);
+  PprofExportStats stats;
+  EXPECT_FALSE(export_pprof(info, {}, &stats).empty());
+  EXPECT_EQ(stats.class_samples, 1u);
+  EXPECT_NE(export_collapsed(info, {}).find("class#0;action:influence 625000"),
+            std::string::npos);
+  EXPECT_NE(export_snapshot_json(info, {}).find("\"share\":0.625"),
+            std::string::npos);
 }
 
 // --- exporters ---------------------------------------------------------------

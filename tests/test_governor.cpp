@@ -14,6 +14,7 @@
 #include "profiling/correlation_daemon.hpp"
 
 #include "ingest_helpers.hpp"
+#include "snapshot_helpers.hpp"
 
 namespace djvm {
 namespace {
@@ -444,30 +445,30 @@ TEST_F(GovernorTest, SnapshotV5RejectsCorruptMigrationSection) {
     r2.register_class("Bulky", 1024);
     SamplingPlan p2(h2);
     Governor g2(p2);
-    SquareMatrix t2;
-    SnapshotInfo info;
-    return !decode_snapshot(bytes, g2, t2) && !parse_snapshot(bytes, info);
+    return both_readers_reject(bytes, g2);
   };
 
+  // Field rules: each mutant is re-sealed, so it reaches the rule it names
+  // instead of failing the checksum.
   {
     std::vector<std::uint8_t> bad = good;  // self-move: to := from
     std::memcpy(&bad[entry + 14], &bad[entry + 12], 2);
-    EXPECT_TRUE(rejects(bad));
+    EXPECT_TRUE(rejects(resealed(bad)));
   }
   {
     std::vector<std::uint8_t> bad = good;  // non-positive gain
     const double neg = -1.0;
     std::memcpy(&bad[gain_pos], &neg, sizeof neg);
-    EXPECT_TRUE(rejects(bad));
+    EXPECT_TRUE(rejects(resealed(bad)));
   }
   {
     std::vector<std::uint8_t> bad = good;  // count field past the cap
     const std::uint32_t huge = 0xFFFFFFFFu;
     std::memcpy(&bad[entry - 4], &huge, sizeof huge);
-    EXPECT_TRUE(rejects(bad));
+    EXPECT_TRUE(rejects(resealed(bad)));
   }
   {
-    std::vector<std::uint8_t> bad = good;  // truncated mid-entry
+    std::vector<std::uint8_t> bad = good;  // truncated mid-entry: checksum
     bad.resize(entry + 8);
     EXPECT_TRUE(rejects(bad));
   }
@@ -708,39 +709,42 @@ TEST_F(GovernorTest, SnapshotRejectsCorruptInput) {
   SquareMatrix out;
   std::vector<std::uint8_t> bad = bytes;
   bad[0] ^= 0xFF;  // magic
-  EXPECT_FALSE(decode_snapshot(bad, gov2, out));
+  EXPECT_TRUE(both_readers_reject(bad, gov2));
   bad = bytes;
-  bad.resize(bytes.size() - 1);  // truncation
-  EXPECT_FALSE(decode_snapshot(bad, gov2, out));
+  bad.resize(bytes.size() - 1);  // truncation: fails the checksum
+  EXPECT_TRUE(both_readers_reject(bad, gov2));
   bad = bytes;
-  bad.push_back(0);  // trailing garbage
-  EXPECT_FALSE(decode_snapshot(bad, gov2, out));
+  bad.push_back(0);  // trailing garbage: fails the checksum
+  EXPECT_TRUE(both_readers_reject(bad, gov2));
+
+  // Field rules: each mutant below is re-sealed, so it reaches the rule it
+  // names instead of failing the checksum.
   bad = bytes;
   // Corrupt class_count (offset 76: magic+version+mode/state/flags/pad
   // +5 doubles+2 u32 counters+2 u64 counters) to a huge value: must be
   // rejected before it sizes an allocation.
   for (std::size_t i = 76; i < 80; ++i) bad[i] = 0xFF;
-  EXPECT_FALSE(decode_snapshot(bad, gov2, out));
+  EXPECT_TRUE(both_readers_reject(resealed(bad), gov2));
   bad = bytes;
   // Corrupt the overhead budget (offset 12, first config double) into a
   // NaN: config corruption must be rejected, not installed.
   for (std::size_t i = 12; i < 20; ++i) bad[i] = 0xFF;
-  EXPECT_FALSE(decode_snapshot(bad, gov2, out));
+  EXPECT_TRUE(both_readers_reject(resealed(bad), gov2));
   bad = bytes;
   // Inconsistent mode/state pair: closed loop never produces kConverged
   // (state byte is offset 9, after magic+version+mode).
   bad[9] = static_cast<std::uint8_t>(GovernorState::kConverged);
-  EXPECT_FALSE(decode_snapshot(bad, gov2, out));
+  EXPECT_TRUE(both_readers_reject(resealed(bad), gov2));
   bad = bytes;
   // Unknown per-node flag bits (offset 10) are corruption, not features.
   bad[10] = 0xF0;
-  EXPECT_FALSE(decode_snapshot(bad, gov2, out));
+  EXPECT_TRUE(both_readers_reject(resealed(bad), gov2));
   bad = bytes;
   // Corrupt the shift-node count (offset 80 after the class_count u32, plus
   // 2 classes x 20 bytes = 120) to a huge value: must be rejected before it
   // sizes the shift table.
   for (std::size_t i = 120; i < 124; ++i) bad[i] = 0xFF;
-  EXPECT_FALSE(decode_snapshot(bad, gov2, out));
+  EXPECT_TRUE(both_readers_reject(resealed(bad), gov2));
   EXPECT_TRUE(decode_snapshot(bytes, gov2, out));
 }
 
@@ -1087,58 +1091,6 @@ TEST_F(PerNodeGovernorTest, SnapshotV2RoundTripsPerNodeState) {
   EXPECT_EQ(plan2.node_gap_shift(0, hot2), 0u);
   EXPECT_EQ(plan2.effective_real_gap(1, hot2), plan.effective_real_gap(1, hot));
   EXPECT_EQ(encode_snapshot(gov2, tcm2), bytes);  // bit-exact
-}
-
-TEST_F(PerNodeGovernorTest, SnapshotV1LoadsWithNodesSeededFromClusterView) {
-  // Hand-build a v1 snapshot from its documented layout: no flags meaning,
-  // no node_budget field, no shift table.
-  std::vector<std::uint8_t> bytes;
-  const auto put = [&bytes](const auto& v) {
-    const auto* p = reinterpret_cast<const std::uint8_t*>(&v);
-    bytes.insert(bytes.end(), p, p + sizeof(v));
-  };
-  put(kSnapshotMagic);
-  put(kSnapshotVersionV1);
-  bytes.push_back(static_cast<std::uint8_t>(GovernorMode::kClosedLoop));
-  bytes.push_back(static_cast<std::uint8_t>(GovernorState::kAdapting));
-  bytes.push_back(0);  // v1 reserved u16
-  bytes.push_back(0);
-  put(0.03);   // overhead_budget
-  put(0.05);   // distance_threshold
-  put(0.25);   // hysteresis
-  put(3.0);    // phase_spike_factor
-  put(std::uint32_t{2});        // sentinel_coarsen_shifts
-  put(std::uint32_t{1u << 16}); // max_nominal_gap
-  put(std::uint64_t{5});        // epochs
-  put(std::uint64_t{0});        // rearms
-  put(std::uint32_t{2});        // class_count
-  put(std::uint32_t{0});  put(std::uint32_t{16});  put(std::uint32_t{17});
-  put(std::uint32_t{0});  put(std::uint32_t{1});   // hot: gap 16/17, rated
-  put(std::uint32_t{1});  put(std::uint32_t{128}); put(std::uint32_t{127});
-  put(std::uint32_t{0});  put(std::uint32_t{1});   // bulky: gap 128/127
-  put(std::uint64_t{2});  // tcm dimension
-  for (int i = 0; i < 4; ++i) put(double{0.5});
-
-  Governor gov(plan);
-  GovernorConfig cfg = config(/*per_node=*/true);  // machine-local policy
-  gov.arm(cfg);
-  plan.set_node_gap_shift(1, hot, 4);  // stale local state a load must clear
-  SquareMatrix tcm;
-  ASSERT_TRUE(decode_snapshot(bytes, gov, tcm));
-
-  EXPECT_EQ(plan.nominal_gap(hot), 16u);
-  EXPECT_EQ(plan.nominal_gap(bulky), 128u);
-  // Nodes seeded from the cluster view: no shifts survive a v1 load...
-  EXPECT_FALSE(plan.has_node_gap_shifts());
-  EXPECT_EQ(plan.effective_real_gap(1, hot), 17u);
-  // ...and the per-node policy choice stays machine-local.
-  EXPECT_TRUE(gov.config().per_node);
-  EXPECT_DOUBLE_EQ(gov.config().overhead_budget, 0.03);
-
-  // Truncated v1 payloads are still rejected.
-  std::vector<std::uint8_t> bad(bytes.begin(), bytes.end() - 3);
-  Governor gov2(plan);
-  EXPECT_FALSE(decode_snapshot(bad, gov2, tcm));
 }
 
 TEST_F(PerNodeGovernorTest, DaemonAttributesEpochStatsAndResamplesPerNode) {

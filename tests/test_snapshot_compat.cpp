@@ -1,14 +1,16 @@
-// Snapshot format compatibility: v1 through v6 fixtures (hand-built from
-// their documented layouts) still load into a v7 reader, new snapshots are
-// written as v7 with the tenant lease section and a CRC32 integrity footer,
-// a warm start resamples only what actually changed — no full resample
-// storm — and the crash-recovery helpers skip corrupt snapshots and
-// tolerate a torn final timeline line.
+// Snapshot format contract: hand-built v7 fixtures (from the layout
+// documented in snapshot.hpp) load, new snapshots carry the tenant lease
+// section and a CRC32 integrity footer, both readers reject every other
+// version and every blob the encoder never writes, a warm start resamples
+// only what actually changed — no full resample storm — and the
+// crash-recovery helpers skip corrupt snapshots and tolerate a torn final
+// timeline line.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <limits>
 #include <string>
 #include <vector>
@@ -17,6 +19,8 @@
 #include "common/crc32.hpp"
 #include "governor/governor.hpp"
 #include "governor/snapshot.hpp"
+
+#include "snapshot_helpers.hpp"
 
 namespace djvm {
 namespace {
@@ -31,22 +35,26 @@ class SnapshotCompatTest : public ::testing::Test {
   }
 
   struct FixtureSpec {
-    std::uint32_t version = kSnapshotVersionV2;
+    std::uint32_t version = kSnapshotVersion;
+    GovernorMode mode = GovernorMode::kClosedLoop;
+    GovernorState state = GovernorState::kSentinel;
     bool per_node = true;
+    std::uint32_t max_nominal_gap = 1u << 16;
     // {nominal, real} per class, in registry order; converged = 0.
     std::uint32_t hot_nominal = 16, hot_real = 17;
+    std::uint32_t bulky_id = 1;  // class entry 1 must carry id 1
     std::uint32_t bulky_nominal = 128, bulky_real = 127;
-    // Shift on (node 1, hot); 0 = no shift table rows (v2 only).
+    // Shift on (node 1, hot); 0 = no shift table rows.
     std::uint8_t hot_shift_node1 = 0;
-    // v3+: copy summary row for node 0 ({0, 0} = empty table).
-    std::uint64_t copy_regs_node0 = 0, copy_visits_node0 = 0;
-    // v4: scoring mode + influence table ({class, value} when seen).
+    // Copy summary rows {registrations, resample_visits} from node 0.
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> copy_rows;
+    // Scoring mode + influence table ({class, value} when seen).
     std::uint8_t scoring = 1;  // kInfluenceWeighted
     std::uint8_t influence_seen = 0;
-    std::uint16_t v4_reserved = 0;
+    std::uint16_t influence_reserved = 0;
     double influence_decay = 0.5;
     std::vector<std::pair<std::uint32_t, double>> influence;
-    // v5: executed-migration history (epochs fixture field is 7, so entry
+    // Executed-migration history (epochs fixture field is 7, so entry
     // epochs must be <= 7 and non-decreasing).
     struct FixtureMigration {
       std::uint64_t epoch = 1;
@@ -57,7 +65,7 @@ class SnapshotCompatTest : public ::testing::Test {
     };
     std::uint64_t migrations_executed = 0;
     std::vector<FixtureMigration> migrations;
-    // v7: tenant budget lease (has_lease = 0 -> no lease payload).
+    // Tenant budget lease (has_lease = 0 -> no lease payload).
     std::uint8_t has_lease = 0;
     std::uint32_t lease_tenant = 3, lease_tier = 1;
     double lease_weight = 2.0, lease_granted = 0.015;
@@ -65,27 +73,27 @@ class SnapshotCompatTest : public ::testing::Test {
     std::uint64_t lease_borrowed = 4, lease_lent = 2;
   };
 
-  /// Hand-builds a v1..v4 snapshot from the documented layout.
+  /// Hand-builds a snapshot from the documented v7 layout, whatever
+  /// `spec.version` says, sealed with a valid CRC32 footer.
   static std::vector<std::uint8_t> build_fixture(const FixtureSpec& spec) {
     std::vector<std::uint8_t> bytes;
     const auto put = [&bytes](const auto& v) {
       const auto* p = reinterpret_cast<const std::uint8_t*>(&v);
       bytes.insert(bytes.end(), p, p + sizeof(v));
     };
-    const bool v1 = spec.version == kSnapshotVersionV1;
     put(kSnapshotMagic);
     put(spec.version);
-    bytes.push_back(static_cast<std::uint8_t>(GovernorMode::kClosedLoop));
-    bytes.push_back(static_cast<std::uint8_t>(GovernorState::kSentinel));
-    bytes.push_back(!v1 && spec.per_node ? 1 : 0);  // v1: reserved padding
+    bytes.push_back(static_cast<std::uint8_t>(spec.mode));
+    bytes.push_back(static_cast<std::uint8_t>(spec.state));
+    bytes.push_back(spec.per_node ? 1 : 0);
     bytes.push_back(0);
     put(0.02);   // overhead_budget
     put(0.05);   // distance_threshold
     put(0.25);   // hysteresis
     put(3.0);    // phase_spike_factor
-    if (!v1) put(0.015);          // node_budget            [v2+]
+    put(0.015);  // node_budget
     put(std::uint32_t{2});        // sentinel_coarsen_shifts
-    put(std::uint32_t{1u << 16}); // max_nominal_gap
+    put(spec.max_nominal_gap);
     put(std::uint64_t{7});        // epochs
     put(std::uint64_t{1});        // rearms
     put(std::uint32_t{2});        // class_count
@@ -93,72 +101,58 @@ class SnapshotCompatTest : public ::testing::Test {
     put(spec.hot_nominal);
     put(spec.hot_real);
     put(std::uint32_t{0});  put(std::uint32_t{1});  // hot: rated
-    put(std::uint32_t{1});
+    put(spec.bulky_id);
     put(spec.bulky_nominal);
     put(spec.bulky_real);
     put(std::uint32_t{0});  put(std::uint32_t{1});  // bulky: rated
-    if (!v1) {
-      if (spec.hot_shift_node1 != 0) {
-        put(std::uint32_t{2});          // shift_node_count  [v2+]
-        bytes.push_back(0);             // node 0: hot, bulky
-        bytes.push_back(0);
-        bytes.push_back(spec.hot_shift_node1);  // node 1: hot
-        bytes.push_back(0);                     // node 1: bulky
-      } else {
-        put(std::uint32_t{0});
-      }
+    if (spec.hot_shift_node1 != 0) {
+      put(std::uint32_t{2});          // shift_node_count
+      bytes.push_back(0);             // node 0: hot, bulky
+      bytes.push_back(0);
+      bytes.push_back(spec.hot_shift_node1);  // node 1: hot
+      bytes.push_back(0);                     // node 1: bulky
+    } else {
+      put(std::uint32_t{0});
     }
-    if (spec.version >= kSnapshotVersionV3) {
-      if (spec.copy_regs_node0 != 0 || spec.copy_visits_node0 != 0) {
-        put(std::uint32_t{1});          // copy_node_count   [v3+]
-        put(spec.copy_regs_node0);
-        put(spec.copy_visits_node0);
-      } else {
-        put(std::uint32_t{0});
-      }
+    put(static_cast<std::uint32_t>(spec.copy_rows.size()));
+    for (const auto& [regs, visits] : spec.copy_rows) {
+      put(regs);
+      put(visits);
     }
-    if (spec.version >= kSnapshotVersionV4) {
-      bytes.push_back(spec.scoring);          // backoff_scoring [v4]
-      bytes.push_back(spec.influence_seen);
-      put(spec.v4_reserved);
-      put(spec.influence_decay);
-      put(static_cast<std::uint32_t>(spec.influence.size()));
-      for (const auto& [id, value] : spec.influence) {
-        put(id);
-        put(value);
-      }
+    bytes.push_back(spec.scoring);
+    bytes.push_back(spec.influence_seen);
+    put(spec.influence_reserved);
+    put(spec.influence_decay);
+    put(static_cast<std::uint32_t>(spec.influence.size()));
+    for (const auto& [id, value] : spec.influence) {
+      put(id);
+      put(value);
     }
-    if (spec.version >= kSnapshotVersionV5) {
-      put(spec.migrations_executed);
-      put(static_cast<std::uint32_t>(spec.migrations.size()));
-      for (const auto& m : spec.migrations) {
-        put(m.epoch);
-        put(m.thread);
-        put(m.from);
-        put(m.to);
-        put(m.gain_bytes);
-        put(m.sim_cost_seconds);
-        put(m.prefetched_bytes);
-      }
+    put(spec.migrations_executed);
+    put(static_cast<std::uint32_t>(spec.migrations.size()));
+    for (const auto& m : spec.migrations) {
+      put(m.epoch);
+      put(m.thread);
+      put(m.from);
+      put(m.to);
+      put(m.gain_bytes);
+      put(m.sim_cost_seconds);
+      put(m.prefetched_bytes);
     }
-    if (spec.version >= kSnapshotVersionV7) {
-      bytes.push_back(spec.has_lease);         // tenant lease      [v7]
-      if (spec.has_lease != 0) {
-        put(spec.lease_tenant);
-        put(spec.lease_tier);
-        put(spec.lease_weight);
-        put(spec.lease_granted);
-        put(spec.lease_fair);
-        put(spec.lease_floor);
-        put(spec.lease_borrowed);
-        put(spec.lease_lent);
-      }
+    bytes.push_back(spec.has_lease);
+    if (spec.has_lease != 0) {
+      put(spec.lease_tenant);
+      put(spec.lease_tier);
+      put(spec.lease_weight);
+      put(spec.lease_granted);
+      put(spec.lease_fair);
+      put(spec.lease_floor);
+      put(spec.lease_borrowed);
+      put(spec.lease_lent);
     }
     put(std::uint64_t{2});  // tcm dimension
     for (int i = 0; i < 4; ++i) put(double{0.5});
-    if (spec.version >= kSnapshotVersionV6) {
-      put(crc32(bytes.data(), bytes.size()));  // integrity footer [v6]
-    }
+    put(crc32(bytes.data(), bytes.size()));  // integrity footer
     return bytes;
   }
 
@@ -169,26 +163,13 @@ class SnapshotCompatTest : public ::testing::Test {
   ClassId bulky = kInvalidClass;
 };
 
-TEST_F(SnapshotCompatTest, V1FixtureStillLoads) {
-  FixtureSpec spec;
-  spec.version = kSnapshotVersionV1;
-  Governor gov(plan);
-  SquareMatrix tcm;
-  ASSERT_TRUE(decode_snapshot(build_fixture(spec), gov, tcm));
-  EXPECT_EQ(plan.nominal_gap(hot), 16u);
-  EXPECT_EQ(plan.real_gap(hot), 17u);
-  EXPECT_EQ(plan.nominal_gap(bulky), 128u);
-  EXPECT_FALSE(plan.has_node_gap_shifts());  // v1: cluster view everywhere
-  EXPECT_EQ(gov.state(), GovernorState::kSentinel);
-  EXPECT_EQ(tcm.size(), 2u);
-}
-
-TEST_F(SnapshotCompatTest, V2FixtureLoadsIntoCachedCopyPlan) {
+TEST_F(SnapshotCompatTest, FixtureShiftLoadsIntoCachedCopyPlan) {
   FixtureSpec spec;
   spec.hot_shift_node1 = 3;
+  const std::vector<std::uint8_t> fixture = build_fixture(spec);
   Governor gov(plan);
   SquareMatrix tcm;
-  ASSERT_TRUE(decode_snapshot(build_fixture(spec), gov, tcm));
+  ASSERT_TRUE(decode_snapshot(fixture, gov, tcm));
   EXPECT_EQ(plan.nominal_gap(hot), 16u);
   EXPECT_EQ(plan.node_gap_shift(1, hot), 3u);
   EXPECT_EQ(plan.effective_nominal_gap(1, hot), 16u << 3);
@@ -197,16 +178,15 @@ TEST_F(SnapshotCompatTest, V2FixtureLoadsIntoCachedCopyPlan) {
   // The restored shift immediately drives the cached-copy plan: node 1's
   // copy view samples coarser than the cluster view it was seeded from.
   EXPECT_LT(plan.sampled_count(1), plan.sampled_count());
-  // No copy summary in v2: bookkeeping restarts at zero.
+  // The fixture's copy summary is empty: bookkeeping restarts at zero.
   EXPECT_EQ(plan.copy_registrations(0), 0u);
   EXPECT_EQ(plan.resample_visits(1), 0u);
 
-  // Re-encoding the restored state writes the current (v3) version.
+  // The hand-built layout is exactly what the encoder writes for the
+  // restored state...
   const std::vector<std::uint8_t> out = encode_snapshot(gov, tcm);
-  std::uint32_t version = 0;
-  std::memcpy(&version, out.data() + 4, sizeof(version));
-  EXPECT_EQ(version, kSnapshotVersion);
-  // ...and the v3 bytes round-trip bit-exactly through a fresh world.
+  EXPECT_EQ(out, fixture);
+  // ...and those bytes round-trip bit-exactly through a fresh world.
   KlassRegistry reg2;
   Heap heap2(reg2, 2);
   reg2.register_class("Hot", 16);
@@ -218,7 +198,7 @@ TEST_F(SnapshotCompatTest, V2FixtureLoadsIntoCachedCopyPlan) {
   EXPECT_EQ(encode_snapshot(gov2, tcm2), out);
 }
 
-TEST_F(SnapshotCompatTest, V2WarmStartResamplesNothingWhenNothingChanged) {
+TEST_F(SnapshotCompatTest, WarmStartResamplesNothingWhenNothingChanged) {
   // Prime the live plan to exactly the fixture's rates.
   plan.set_nominal_gap(hot, 16);
   plan.set_nominal_gap(bulky, 128);
@@ -241,7 +221,7 @@ TEST_F(SnapshotCompatTest, V2WarmStartResamplesNothingWhenNothingChanged) {
   EXPECT_TRUE(gov.converged());
 }
 
-TEST_F(SnapshotCompatTest, V2WarmStartResamplesOnlyChangedClasses) {
+TEST_F(SnapshotCompatTest, WarmStartResamplesOnlyChangedClasses) {
   plan.set_nominal_gap(hot, 16);
   plan.set_nominal_gap(bulky, 128);
   plan.resample_all();
@@ -299,38 +279,8 @@ TEST_F(SnapshotCompatTest, V3RoundTripRestoresCopyBookkeeping) {
   EXPECT_EQ(encode_snapshot(gov2, tcm2), bytes);  // bit-exact
 }
 
-TEST_F(SnapshotCompatTest, V3FixtureLoadsAndKeepsMachineLocalInfluence) {
+TEST_F(SnapshotCompatTest, FixtureRestoresInfluenceTable) {
   FixtureSpec spec;
-  spec.version = kSnapshotVersionV3;
-  spec.copy_regs_node0 = 5;
-  spec.copy_visits_node0 = 9;
-  Governor gov(plan);
-  // The live governor already learned influence this run; a pre-v4 snapshot
-  // has no opinion on it, so the table must survive the load.
-  GovernorConfig gcfg;
-  gcfg.scoring = BackoffScoring::kBytesPerEntry;
-  gov.arm(gcfg);
-  BalancerFeedback fb;
-  fb.influence = {0.0, 0.5};
-  fb.mass = {0.0, 1.0};
-  fb.total_mass = 1.0;
-  fb.valid = true;
-  gov.observe_balancer_feedback(fb);
-  ASSERT_TRUE(gov.influence_seen());
-  SquareMatrix tcm;
-  ASSERT_TRUE(decode_snapshot(build_fixture(spec), gov, tcm));
-  EXPECT_EQ(plan.nominal_gap(hot), 16u);
-  EXPECT_EQ(plan.copy_registrations(0), 5u);
-  EXPECT_EQ(plan.resample_visits(0), 9u);
-  EXPECT_EQ(gov.config().scoring, BackoffScoring::kBytesPerEntry);
-  EXPECT_TRUE(gov.influence_seen());
-  EXPECT_DOUBLE_EQ(gov.influence_share(bulky), 0.5);
-  EXPECT_EQ(gov.state(), GovernorState::kSentinel);
-}
-
-TEST_F(SnapshotCompatTest, V4FixtureRestoresInfluenceTable) {
-  FixtureSpec spec;
-  spec.version = kSnapshotVersionV4;
   spec.influence_seen = 1;
   spec.influence = {{0, 0.75}};  // hot carries influence, bulky trimmed
   Governor gov(plan);
@@ -341,14 +291,13 @@ TEST_F(SnapshotCompatTest, V4FixtureRestoresInfluenceTable) {
   EXPECT_DOUBLE_EQ(gov.influence_share(bulky), 0.0);
   EXPECT_EQ(gov.config().scoring, BackoffScoring::kInfluenceWeighted);
   EXPECT_DOUBLE_EQ(gov.config().influence_decay, 0.5);
-  // A v4 file has no migration history: the v5 reader starts it empty.
+  // The fixture's migration history is empty, and so is the restored one.
   EXPECT_EQ(gov.migrations_executed(), 0u);
   EXPECT_TRUE(gov.migration_history().empty());
 }
 
-TEST_F(SnapshotCompatTest, V5FixtureRestoresMigrationHistory) {
+TEST_F(SnapshotCompatTest, FixtureRestoresMigrationHistory) {
   FixtureSpec spec;
-  spec.version = kSnapshotVersionV5;
   spec.influence_seen = 1;
   spec.influence = {{0, 0.75}};
   spec.migrations_executed = 9;  // counter may exceed retained history
@@ -386,44 +335,41 @@ TEST_F(SnapshotCompatTest, CorruptV5MigrationSectionIsRejected) {
 
   // Counter lower than the retained entries.
   FixtureSpec bad;
-  bad.version = kSnapshotVersionV5;
   bad.migrations_executed = 0;
   bad.migrations = {{}};
-  EXPECT_FALSE(decode_snapshot(build_fixture(bad), gov, tcm));
+  EXPECT_TRUE(both_readers_reject(build_fixture(bad), gov));
 
   // Self-move.
   bad = FixtureSpec{};
-  bad.version = kSnapshotVersionV5;
   bad.migrations_executed = 1;
   bad.migrations = {{}};
   bad.migrations[0].to = bad.migrations[0].from;
-  EXPECT_FALSE(decode_snapshot(build_fixture(bad), gov, tcm));
+  EXPECT_TRUE(both_readers_reject(build_fixture(bad), gov));
 
   // Epochs out of order / past the governor's epoch count.
   bad = FixtureSpec{};
-  bad.version = kSnapshotVersionV5;
   bad.migrations_executed = 2;
   bad.migrations = {{}, {}};
   bad.migrations[0].epoch = 5;
   bad.migrations[1].epoch = 2;
-  EXPECT_FALSE(decode_snapshot(build_fixture(bad), gov, tcm));
+  EXPECT_TRUE(both_readers_reject(build_fixture(bad), gov));
   bad.migrations[0].epoch = 2;
   bad.migrations[1].epoch = 8;  // fixture writes epochs_seen = 7
-  EXPECT_FALSE(decode_snapshot(build_fixture(bad), gov, tcm));
+  EXPECT_TRUE(both_readers_reject(build_fixture(bad), gov));
 
   // Non-positive gain.
   bad = FixtureSpec{};
-  bad.version = kSnapshotVersionV5;
   bad.migrations_executed = 1;
   bad.migrations = {{}};
   bad.migrations[0].gain_bytes = 0.0;
-  EXPECT_FALSE(decode_snapshot(build_fixture(bad), gov, tcm));
+  EXPECT_TRUE(both_readers_reject(build_fixture(bad), gov));
 
   // The matching well-formed fixture still loads.
   FixtureSpec good;
-  good.version = kSnapshotVersionV5;
   good.migrations_executed = 1;
   good.migrations = {{}};
+  SnapshotInfo info;
+  EXPECT_TRUE(parse_snapshot(build_fixture(good), info));
   EXPECT_TRUE(decode_snapshot(build_fixture(good), gov, tcm));
 }
 
@@ -432,43 +378,42 @@ TEST_F(SnapshotCompatTest, CorruptV4InfluenceSectionIsRejected) {
   SquareMatrix tcm;
 
   FixtureSpec bad;
-  bad.version = kSnapshotVersion;
   bad.scoring = 2;  // beyond kInfluenceWeighted
-  EXPECT_FALSE(decode_snapshot(build_fixture(bad), gov, tcm));
+  EXPECT_TRUE(both_readers_reject(build_fixture(bad), gov));
 
   bad = FixtureSpec{};
-  bad.version = kSnapshotVersion;
-  bad.v4_reserved = 0xBEEF;
-  EXPECT_FALSE(decode_snapshot(build_fixture(bad), gov, tcm));
+  bad.influence_reserved = 0xBEEF;
+  EXPECT_TRUE(both_readers_reject(build_fixture(bad), gov));
 
   bad = FixtureSpec{};
-  bad.version = kSnapshotVersion;
   bad.influence_decay = 1.5;  // outside [0, 1]
-  EXPECT_FALSE(decode_snapshot(build_fixture(bad), gov, tcm));
+  EXPECT_TRUE(both_readers_reject(build_fixture(bad), gov));
 
   // Influence entries without the seen flag cannot re-encode bit-exactly.
   bad = FixtureSpec{};
-  bad.version = kSnapshotVersion;
   bad.influence = {{0, 0.5}};
-  EXPECT_FALSE(decode_snapshot(build_fixture(bad), gov, tcm));
+  EXPECT_TRUE(both_readers_reject(build_fixture(bad), gov));
 
-  // Unknown class, zero (= padded) value, out-of-order ids: all corruption.
+  // Class past the class count, zero (= padded) value, out-of-order ids:
+  // all corruption.
   bad = FixtureSpec{};
-  bad.version = kSnapshotVersion;
   bad.influence_seen = 1;
   bad.influence = {{7, 0.5}};
-  EXPECT_FALSE(decode_snapshot(build_fixture(bad), gov, tcm));
+  EXPECT_TRUE(both_readers_reject(build_fixture(bad), gov));
+  bad.influence = {{2, 0.5}};  // the fixture has classes 0 and 1
+  EXPECT_TRUE(both_readers_reject(build_fixture(bad), gov));
   bad.influence = {{0, 0.0}};
-  EXPECT_FALSE(decode_snapshot(build_fixture(bad), gov, tcm));
+  EXPECT_TRUE(both_readers_reject(build_fixture(bad), gov));
   bad.influence = {{1, 0.5}, {0, 0.5}};
-  EXPECT_FALSE(decode_snapshot(build_fixture(bad), gov, tcm));
+  EXPECT_TRUE(both_readers_reject(build_fixture(bad), gov));
 
   // The matching well-formed fixture still loads (the rejections above are
   // the corruption, not the section).
   FixtureSpec good;
-  good.version = kSnapshotVersion;
   good.influence_seen = 1;
   good.influence = {{0, 0.5}, {1, 0.25}};
+  SnapshotInfo info;
+  EXPECT_TRUE(parse_snapshot(build_fixture(good), info));
   EXPECT_TRUE(decode_snapshot(build_fixture(good), gov, tcm));
 }
 
@@ -483,11 +428,12 @@ TEST_F(SnapshotCompatTest, CorruptCopySummaryIsRejected) {
   // Header: 8 (magic+version) + 4 (mode/state/flags/pad) + 40 (5 doubles)
   // + 8 (2 u32) + 16 (2 u64) + 4 (class_count) + 40 (classes) + 4
   // (shift_node_count = 0) = 124; copy_node_count lives at offset 124.
+  // Re-sealed, so the count reaches its bound instead of the checksum.
   std::vector<std::uint8_t> bad = bytes;
   for (std::size_t i = 124; i < 128; ++i) bad[i] = 0xFF;
   Governor gov2(plan);
   SquareMatrix out;
-  EXPECT_FALSE(decode_snapshot(bad, gov2, out));
+  EXPECT_TRUE(both_readers_reject(resealed(bad), gov2));
   EXPECT_TRUE(decode_snapshot(bytes, gov2, out));
 }
 
@@ -560,18 +506,6 @@ TEST_F(SnapshotCompatTest, NonFiniteMapCellIsRejectedByBothReaders) {
   }
 }
 
-TEST_F(SnapshotCompatTest, V6FixtureStillLoadsWithoutALease) {
-  // A v6 file predates tenancy: it must load cleanly and leave the live
-  // governor's lease untouched.
-  FixtureSpec spec;
-  spec.version = kSnapshotVersionV6;
-  Governor gov(plan);
-  SquareMatrix tcm;
-  ASSERT_TRUE(decode_snapshot(build_fixture(spec), gov, tcm));
-  EXPECT_FALSE(gov.lease().has_value());
-  EXPECT_EQ(tcm.size(), 2u);
-}
-
 TEST_F(SnapshotCompatTest, V7LeaseRoundTripsAndRestoresTheGrant) {
   Governor gov(plan);
   Governor::TenantLease lease;
@@ -612,31 +546,143 @@ TEST_F(SnapshotCompatTest, CorruptV7LeaseSectionIsRejected) {
   SquareMatrix tcm;
 
   FixtureSpec bad;
-  bad.version = kSnapshotVersion;
   bad.has_lease = 2;  // flag must be 0/1
-  EXPECT_FALSE(decode_snapshot(build_fixture(bad), gov, tcm));
+  EXPECT_TRUE(both_readers_reject(build_fixture(bad), gov));
 
   bad = FixtureSpec{};
-  bad.version = kSnapshotVersion;
   bad.has_lease = 1;
   bad.lease_weight = 0.0;  // non-positive weight wedges arbitration
-  EXPECT_FALSE(decode_snapshot(build_fixture(bad), gov, tcm));
+  EXPECT_TRUE(both_readers_reject(build_fixture(bad), gov));
 
   bad = FixtureSpec{};
-  bad.version = kSnapshotVersion;
   bad.has_lease = 1;
   bad.lease_floor = 0.02;  // floor above the grant: never emitted
   bad.lease_granted = 0.01;
-  EXPECT_FALSE(decode_snapshot(build_fixture(bad), gov, tcm));
+  EXPECT_TRUE(both_readers_reject(build_fixture(bad), gov));
 
   // The matching well-formed lease fixture still loads.
   FixtureSpec good;
-  good.version = kSnapshotVersion;
   good.has_lease = 1;
   EXPECT_TRUE(decode_snapshot(build_fixture(good), gov, tcm));
   ASSERT_TRUE(gov.lease().has_value());
   EXPECT_EQ(gov.lease()->tenant, 3u);
   EXPECT_DOUBLE_EQ(gov.lease()->granted_budget, 0.015);
+}
+
+TEST_F(SnapshotCompatTest, BothReadersRejectUnwrittenValuesAndOtherVersions) {
+  // Every blob here carries a valid CRC32 footer, so each reaches the rule
+  // it names.  The first eight rules were once decode_snapshot's alone: the
+  // offline parser accepted these blobs while restore refused them.
+  const std::vector<std::pair<const char*, std::function<void(FixtureSpec&)>>>
+      cases = {
+          {"max_nominal_gap == 0",
+           [](FixtureSpec& s) { s.max_nominal_gap = 0; }},
+          {"closed loop in kConverged",
+           [](FixtureSpec& s) { s.state = GovernorState::kConverged; }},
+          {"legacy one-way in kSentinel",
+           [](FixtureSpec& s) { s.mode = GovernorMode::kLegacyOneWay; }},
+          {"rated class with a zero gap",
+           [](FixtureSpec& s) { s.hot_nominal = 0; }},
+          {"copy table padded with an all-zero last row",
+           [](FixtureSpec& s) { s.copy_rows = {{5, 9}, {0, 0}}; }},
+          {"influence entries without the seen flag",
+           [](FixtureSpec& s) { s.influence = {{0, 0.5}}; }},
+          {"migration thread >= 2^20",
+           [](FixtureSpec& s) {
+             s.migrations_executed = 1;
+             s.migrations = {{}};
+             s.migrations[0].thread = 1u << 20;
+           }},
+          {"lease floor above its grant",
+           [](FixtureSpec& s) {
+             s.has_lease = 1;
+             s.lease_floor = 0.02;
+             s.lease_granted = 0.01;
+           }},
+      };
+  for (const auto& [name, edit] : cases) {
+    FixtureSpec spec;
+    edit(spec);
+    Governor gov(plan);
+    EXPECT_TRUE(both_readers_reject(build_fixture(spec), gov)) << name;
+  }
+  // v7 is the only format: every other version cold-starts.
+  for (const std::uint32_t version : {1u, 2u, 3u, 4u, 5u, 6u, 8u}) {
+    FixtureSpec spec;
+    spec.version = version;
+    Governor gov(plan);
+    EXPECT_TRUE(both_readers_reject(build_fixture(spec), gov))
+        << "version " << version;
+  }
+
+  // Controls: the unedited fixture, and each rule's nearest legal value,
+  // load under both readers.
+  const std::vector<std::function<void(FixtureSpec&)>> controls = {
+      [](FixtureSpec&) {},
+      [](FixtureSpec& s) { s.max_nominal_gap = 1; },
+      [](FixtureSpec& s) { s.state = GovernorState::kAdapting; },
+      [](FixtureSpec& s) {
+        s.mode = GovernorMode::kLegacyOneWay;
+        s.state = GovernorState::kConverged;
+      },
+      [](FixtureSpec& s) { s.copy_rows = {{5, 9}, {0, 1}}; },
+      [](FixtureSpec& s) {
+        s.influence_seen = 1;
+        s.influence = {{0, 0.5}};
+      },
+      [](FixtureSpec& s) {
+        s.migrations_executed = 1;
+        s.migrations = {{}};
+        s.migrations[0].thread = (1u << 20) - 1;
+      },
+      [](FixtureSpec& s) {
+        s.has_lease = 1;
+        s.lease_floor = 0.01;
+        s.lease_granted = 0.01;
+      },
+  };
+  for (std::size_t i = 0; i < controls.size(); ++i) {
+    FixtureSpec spec;
+    controls[i](spec);
+    const std::vector<std::uint8_t> blob = build_fixture(spec);
+    SnapshotInfo info;
+    EXPECT_TRUE(parse_snapshot(blob, info)) << "control " << i;
+    Governor gov(plan);
+    SquareMatrix tcm;
+    EXPECT_TRUE(decode_snapshot(blob, gov, tcm)) << "control " << i;
+  }
+}
+
+TEST_F(SnapshotCompatTest, ClassEntriesMustCarryDenseIds) {
+  // register_class assigns id = size(), and the encoder writes the registry
+  // in id order: entry i names class i, or the blob is corrupt.
+  for (const std::uint32_t id : {0u, 2u, 0xFFFFFFFFu}) {
+    FixtureSpec spec;
+    spec.bulky_id = id;
+    Governor gov(plan);
+    EXPECT_TRUE(both_readers_reject(build_fixture(spec), gov)) << id;
+  }
+}
+
+TEST_F(SnapshotCompatTest, RegistryTooSmallIsRejectedByRestoreOnly) {
+  // The one registry check restore adds: a snapshot of two classes parses
+  // anywhere, but does not load into a world that registered only one,
+  // and the refused load leaves that world's governor untouched.
+  const std::vector<std::uint8_t> blob = build_fixture(FixtureSpec{});
+  SnapshotInfo info;
+  ASSERT_TRUE(parse_snapshot(blob, info));
+  ASSERT_EQ(info.classes.size(), 2u);
+
+  KlassRegistry reg1;
+  Heap heap1(reg1, 2);
+  reg1.register_class("Hot", 16);
+  SamplingPlan plan1(heap1);
+  Governor gov1(plan1);
+  gov1.arm(GovernorConfig{});
+  SquareMatrix tcm1(3);
+  const std::vector<std::uint8_t> before = encode_snapshot(gov1, tcm1);
+  EXPECT_FALSE(decode_snapshot(blob, gov1, tcm1));
+  EXPECT_EQ(encode_snapshot(gov1, tcm1), before);
 }
 
 TEST_F(SnapshotCompatTest, TruncatedOrBitFlippedV6IsRejected) {
@@ -683,16 +729,28 @@ TEST_F(SnapshotCompatTest, RecoverSnapshotSkipsCorruptCandidates) {
             static_cast<std::streamsize>(bad.size()));
   }
 
-  // Recovery walks newest-first: the torn file is skipped, the older valid
-  // one loads, and the chosen index is reported.
+  // A well-sealed file of another version: v7 is the only format, so it is
+  // skipped like any corrupt candidate.
+  std::vector<std::uint8_t> v6 = encode_snapshot(gov, tcm);
+  const std::uint32_t six = 6;
+  std::memcpy(v6.data() + 4, &six, sizeof(six));
+  {
+    std::ofstream f("/tmp/djvm_recover_v6.snap", std::ios::binary);
+    const std::vector<std::uint8_t> sealed = resealed(v6);
+    f.write(reinterpret_cast<const char*>(sealed.data()),
+            static_cast<std::streamsize>(sealed.size()));
+  }
+
+  // Recovery walks newest-first: the torn file and the v6 file are
+  // skipped, the older valid one loads, and the chosen index is reported.
   Governor gov2(plan);
   SquareMatrix out;
   const auto picked = recover_snapshot(
       {"/tmp/djvm_recover_missing.snap", "/tmp/djvm_recover_bad.snap",
-       "/tmp/djvm_recover_good.snap"},
+       "/tmp/djvm_recover_v6.snap", "/tmp/djvm_recover_good.snap"},
       gov2, out);
   ASSERT_TRUE(picked.has_value());
-  EXPECT_EQ(*picked, 2u);
+  EXPECT_EQ(*picked, 3u);
   EXPECT_DOUBLE_EQ(out.at(0, 1), 7.0);
 
   // No valid candidate at all: recovery reports failure, state untouched.
@@ -702,6 +760,7 @@ TEST_F(SnapshotCompatTest, RecoverSnapshotSkipsCorruptCandidates) {
                    .has_value());
   std::remove("/tmp/djvm_recover_good.snap");
   std::remove("/tmp/djvm_recover_bad.snap");
+  std::remove("/tmp/djvm_recover_v6.snap");
 }
 
 TEST_F(SnapshotCompatTest, RecoverTimelineDropsTornFinalLine) {

@@ -1,5 +1,7 @@
-// Offline snapshot converter: any v1-v6 governor snapshot -> pprof /
-// flamegraph-collapsed / JSON, without reconstructing the run.
+// Offline snapshot converter: any governor snapshot (format v7, the only
+// one) -> pprof / flamegraph-collapsed / JSON, without reconstructing the
+// run.  It reads through parse_snapshot, the same reader restore uses, so
+// it accepts exactly the blobs a large enough class registry would load.
 //
 //   djvm_export <snapshot.bin> [--pprof P] [--collapsed C] [--json J]
 //                              [--names a,b,c]
@@ -16,7 +18,8 @@
 //
 // Exit status (distinct codes so scripts can tell the failure classes
 // apart): 0 success, 1 bad CLI arguments, 2 unreadable input or failed
-// output write, 3 corrupt snapshot (bad structure or failed v6 checksum).
+// output write, 3 corrupt snapshot (bad structure, failed checksum, or a
+// version other than 7).
 // The reason always goes to stderr.
 #include <cstdio>
 #include <cstring>
