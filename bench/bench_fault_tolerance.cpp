@@ -164,7 +164,7 @@ Outcome run(Mode mode) {
           static_cast<SimTime>(kPoolCount) * kRounds * kComputePerRead);
     }
     djvm.barrier_all();
-    const EpochResult res = djvm.run_governed_epoch();
+    const EpochResult res = djvm.run_epoch();
     if (res.degraded && out.first_degraded < 0) {
       out.first_degraded = static_cast<int>(epoch);
     }

@@ -149,7 +149,7 @@ RunLog run(RunMode mode) {
     }
     djvm.barrier_all();
 
-    djvm.run_governed_epoch();
+    djvm.run_epoch();
     for (NodeId n = 0; n < kNodes; ++n) {
       log.node_frac[n].push_back(djvm.governor().meter().node_rolling_fraction(n));
     }

@@ -175,7 +175,7 @@ RunLog run(RunMode mode) {
           static_cast<SimTime>(static_cast<double>(accesses) * compute));
     }
     djvm.barrier_all();
-    djvm.run_governed_epoch();
+    djvm.run_epoch();
     log.frac.push_back(djvm.governor().meter().rolling_fraction());
     log.signal_gaps.push_back(djvm.plan().nominal_gap(signal));
     log.noise_gaps.push_back(djvm.plan().nominal_gap(noise));

@@ -94,7 +94,7 @@ Outcome run(Mode mode) {
           static_cast<SimTime>(kPoolCount) * kRounds * kComputePerRead);
     }
     djvm.barrier_all();
-    const EpochResult res = djvm.run_governed_epoch();
+    const EpochResult res = djvm.run_epoch();
     for (const auto& m : res.migrations) {
       if (m.executed && out.first_move_epoch == kEpochs) {
         out.first_move_epoch = epoch;

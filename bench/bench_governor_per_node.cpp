@@ -140,7 +140,7 @@ RunLog run(RunMode mode) {
     }
     djvm.barrier_all();
 
-    const EpochResult e = djvm.run_governed_epoch();
+    const EpochResult e = djvm.run_epoch();
     log.hot_frac.push_back(
         djvm.governor().meter().node_rolling_fraction(kHotNode));
     log.cluster_frac.push_back(e.overhead_fraction);

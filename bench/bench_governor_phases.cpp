@@ -162,7 +162,7 @@ RunLog run(RunMode mode, bool with_export = false) {
     }
     djvm.barrier_all();
 
-    const EpochResult e = djvm.run_governed_epoch();
+    const EpochResult e = djvm.run_epoch();
     EpochLog el;
     el.overhead = e.overhead_fraction;
     el.distance = e.rel_distance.value_or(-1.0);

@@ -1,10 +1,10 @@
 // Long-haul memory: retention (decay/compact) on vs off under object churn.
 //
-// A whole-run TCM accumulator on a server that runs for weeks tracks every
-// object the workload ever touched; a churning workload (caches, request
-// buffers, sliding datasets) makes that unbounded.  This bench drives the
-// accumulator with a sliding object population — every epoch folds a fresh
-// window of objects and never revisits old ones — and compares:
+// A whole-run TCM store on a server that runs for weeks tracks every object
+// the workload ever touched; a churning workload (caches, request buffers,
+// sliding datasets) makes that unbounded.  This bench drives the store with
+// a sliding object population — every epoch merges a window of fresh objects
+// and never revisits old ones — and compares:
 //
 //   retention-on  — advance_epoch + compact(idle_epochs, decay) each epoch:
 //                   tracked objects and payload bytes must plateau at
@@ -70,19 +70,20 @@ struct PhaseResult {
 
 PhaseResult run_phase(bool retention) {
   PhaseResult out;
-  TcmAccumulator acc(kThreads);
+  TcmStore store(kThreads);
+  ArenaScratch scratch;
   for (int epoch = 0; epoch < kEpochs; ++epoch) {
-    acc.add(epoch_batch(epoch));
+    absorb_logs(store, epoch_batch(epoch), scratch);
     if (retention) {
-      acc.advance_epoch();
-      acc.compact(kIdleEpochs, kDecay);
+      store.advance_epoch();
+      store.compact(kIdleEpochs, kDecay);
     }
-    out.objects_per_epoch.push_back(acc.objects_tracked());
-    if (epoch == kEpochs / 4) out.mem_quarter = acc.memory_bytes();
+    out.objects_per_epoch.push_back(store.object_count());
+    if (epoch == kEpochs / 4) out.mem_quarter = store.memory_bytes();
   }
-  out.mem_final = acc.memory_bytes();
-  out.objects_final = acc.objects_tracked();
-  out.final_map = acc.dense();
+  out.mem_final = store.memory_bytes();
+  out.objects_final = store.object_count();
+  out.final_map = store_map(store);
   out.rss_after_kb = peak_rss_kb();
   return out;
 }
@@ -98,7 +99,7 @@ SquareMatrix live_reference() {
                   std::make_move_iterator(batch.end()));
     }
   }
-  return TcmBuilder::build_reference(live, kThreads);
+  return build_reference(live, kThreads);
 }
 
 double max_abs_diff(const SquareMatrix& a, const SquareMatrix& b) {
@@ -114,7 +115,7 @@ double max_abs_diff(const SquareMatrix& a, const SquareMatrix& b) {
 }  // namespace
 
 int main() {
-  std::cout << "=== Long-haul accumulator memory: retention on vs off ===\n"
+  std::cout << "=== Long-haul whole-run store memory: retention on vs off ===\n"
             << "(" << kEpochs << " epochs, " << kWindow
             << " fresh objects/epoch, idle bound " << kIdleEpochs
             << " epochs)\n\n";

@@ -9,7 +9,7 @@
 // The governed column drives the same mechanism through the closed loop
 // instead of a manual engine call: shared mass homed at the partners' node
 // pulls a thread off the node holding its private working set, the
-// execution stage of run_governed_epoch migrates it (resolution prefetch +
+// execution stage of run_epoch migrates it (resolution prefetch +
 // follow-the-thread homes rescue the private pool), and the post-migration
 // replay of that pool must then run fault-free.
 #include <algorithm>
@@ -180,7 +180,7 @@ GovernedOutcome run_governed() {
       }
     }
     djvm.barrier_all();
-    const EpochResult res = djvm.run_governed_epoch();
+    const EpochResult res = djvm.run_epoch();
     for (const auto& m : res.migrations) {
       if (!m.executed) continue;
       out.prefetched_bytes += m.prefetched_bytes;

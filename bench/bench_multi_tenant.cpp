@@ -164,9 +164,9 @@ SquareMatrix run_oracle() {
   return vm.daemon().build_full();
 }
 
-/// The quiet single-tenant equivalence probe: the same workload through the
-/// deprecated legacy entry point and through the tenant API must produce
-/// bit-identical correlation maps.
+/// The quiet single-tenant equivalence probe: the same workload through
+/// Djvm::run_epoch and through the tenant API must produce bit-identical
+/// correlation maps.
 double api_equivalence_error() {
   SquareMatrix maps[2];
   for (int side = 0; side < 2; ++side) {
@@ -178,7 +178,7 @@ double api_equivalence_error() {
     for (std::uint32_t epoch = 0; epoch < 8; ++epoch) {
       app.serve_epoch(vm);
       if (side == 0) {
-        vm.run_governed_epoch();
+        vm.run_epoch();
       } else {
         tenant.run_epoch();
       }

@@ -1,28 +1,30 @@
-// TCM construction at scale: dense-from-scratch vs the incremental sparse
-// accumulator, swept over threads x objects x reader skew.
+// TCM construction at scale: dense-from-scratch vs the incremental whole-run
+// CSR store, swept over threads x objects x reader skew.
 //
-// Protocol per sweep point: a profiling run delivers B OAL batches (one
-// interval per thread, each a one-slice arena, built before any clock
-// starts); after
-// each batch the master wants the whole-run correlation map fresh (what
-// CorrelationDaemon::build_full feeds the balancer).  The dense-from-scratch
-// pipeline (`TcmBuilder::build_reference`, the seed's hash-map reorganize +
-// dense accrual) re-accrues the entire run-so-far on every delivery; the
-// incremental pipeline folds just the new batch into a persistent
-// TcmAccumulator and densifies on demand.  Both sides produce the same map
-// after every batch (checked to 1e-9); only the work to get there differs.
+// Stress protocol per sweep point: a profiling run delivers B OAL batches
+// (one interval per thread, each a one-slice arena, built before any clock
+// starts), and after each batch a whole-run correlation map is asked for.
+// No caller in the tree does that — the planner reads each epoch's window
+// map, and build_full() runs once at the end of a run — so the protocol is
+// a stress test of the whole-run path, not a model of an epoch.  The
+// dense-from-scratch pipeline (`build_reference`, the seed's hash-map
+// reorganize + dense accrual) re-accrues the entire run-so-far on every
+// delivery; the incremental pipeline reorganizes just the new batch into a
+// CSR window, merges it into a persistent TcmStore in place, and accrues the
+// store's pairs on demand.  Both sides produce the same map after every
+// batch (checked to 1e-9); only the work to get there differs.
 //
 // The largest sweep point (64 threads x 120k objects x 12 batches, skewed
-// readers) gates CI: incremental-sparse must hold a >= 5x speedup, and the
-// equality check must stay within 1e-9.
+// readers) gates CI: the incremental store must hold a >= 5x speedup, and
+// the equality check must stay within 1e-9.
 //
 // A separate arena-scale phase stretches to 256 threads x 1M objects — the
 // regime the lock-free ingest path exists for — with the batches re-packed
 // into fixed 4096-entry OalArenas (the ingest hand-off unit).  The per-batch
 // dense rebuild protocol is deliberately not run there (it is the very
 // O(run-so-far) wall the sweep above already prices); instead the phase
-// gates that both arena consumers — the incremental fold
-// (TcmAccumulator::add, one arena per call) and the one-shot CSR pipeline
+// gates that both arena consumers — the incremental store (one window per
+// batch, a whole-run map after each) and the one-shot CSR pipeline
 // (DistributedTcmReducer::build) — match one final build_reference to 1e-9.
 #include <chrono>
 #include <cstdio>
@@ -48,7 +50,7 @@ struct SweepPoint {
 /// them — shared pools, barriers' metadata), the tail is read by one thread
 /// plus an occasional second (neighbour exchange).  Byte values are stable
 /// across batches except every 16th object, whose observed size keeps
-/// growing — exercising the accumulator's max-combining update path.
+/// growing — exercising the store's max-combining update path.
 std::vector<std::vector<OalArena>> make_batches(const SweepPoint& p) {
   const ObjectId hot = std::max<ObjectId>(1, p.objects / 1000);
   std::vector<std::vector<OalArena>> batches(static_cast<std::size_t>(p.batches));
@@ -101,20 +103,22 @@ PointResult run_point(const SweepPoint& p) {
     for (const auto& batch : batches) {
       window.insert(window.end(), batch.begin(), batch.end());
       dense_maps.push_back(
-          TcmBuilder::build_reference(window, p.threads, /*weighted=*/true));
+          build_reference(window, p.threads, /*weighted=*/true));
     }
     out.dense_seconds = seconds_since(t0);
   }
 
-  // Incremental-sparse: fold the new batch, densify on demand.  The densify
-  // is part of the measured cost; the equality check is not.
+  // Incremental store: merge the new batch in as one window, accrue and
+  // densify on demand.  The accrual is part of the measured cost; the
+  // equality check is not.
   std::vector<SquareMatrix> incr_maps;
   {
-    TcmAccumulator acc(p.threads, /*weighted=*/true);
+    TcmStore store(p.threads);
+    ArenaScratch scratch;
     const auto t0 = std::chrono::steady_clock::now();
     for (const auto& batch : batches) {
-      acc.add(batch);
-      incr_maps.push_back(acc.dense());
+      absorb_logs(store, batch, scratch);
+      incr_maps.push_back(store_map(store));
     }
     out.incr_seconds = seconds_since(t0);
   }
@@ -144,15 +148,17 @@ ArenaScaleResult run_arena_scale(const SweepPoint& p) {
 
   ArenaScaleResult out;
 
-  // Incremental fold, batch-at-a-time with a fresh map per delivery — the
-  // daemon's steady state: one arena per fold.
+  // Incremental store, batch-at-a-time with a whole-run map per delivery:
+  // each batch's arenas reorganize into one window, as the daemon's pending
+  // arenas do at an epoch close.
   SquareMatrix incr;
   {
-    TcmAccumulator acc(p.threads, /*weighted=*/true);
+    TcmStore store(p.threads);
+    ArenaScratch scratch;
     const auto t0 = std::chrono::steady_clock::now();
     for (const auto& batch : packed) {
-      for (const OalArena& a : batch) acc.add({&a, 1});
-      incr = acc.dense();
+      absorb_logs(store, batch, scratch);
+      incr = store_map(store);
     }
     out.incr_seconds = seconds_since(t0);
   }
@@ -178,7 +184,7 @@ ArenaScaleResult run_arena_scale(const SweepPoint& p) {
     }
     const auto t0 = std::chrono::steady_clock::now();
     const SquareMatrix ref =
-        TcmBuilder::build_reference(window, p.threads, /*weighted=*/true);
+        build_reference(window, p.threads, /*weighted=*/true);
     out.reference_seconds = seconds_since(t0);
     out.incr_error = absolute_error(incr, ref);
     out.csr_error = absolute_error(csr, ref);

@@ -52,7 +52,7 @@ int main() {
     djvm.barrier_all();  // closes every thread's interval, shipping OALs
     // One governed epoch per round: the daemon rebuilds the TCM and the
     // governor adapts the sampling rates against its overhead budget.
-    djvm.run_governed_epoch();
+    djvm.run_epoch();
   }
 
   // --- 3. the thread correlation map -----------------------------------------

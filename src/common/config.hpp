@@ -79,8 +79,8 @@ struct GovernorKnobs {
   double node_budget = 0.0;
 };
 
-/// Long-haul retention knobs for the daemon's whole-run accumulator
-/// (Config::retention; see TcmAccumulator::compact).
+/// Long-haul retention knobs for the daemon's whole-run TCM store
+/// (Config::retention; see TcmStore::compact).
 struct RetentionKnobs {
   /// Evict or decay objects untouched for this many epochs (0 = retention
   /// off, the unbounded pre-retention behavior).
@@ -95,12 +95,12 @@ struct RetentionKnobs {
 /// Observability-export knobs (Config::export_; the trailing underscore
 /// dodges the keyword).
 struct ExportKnobs {
-  /// When non-empty, every run_governed_epoch() hands the fresh governor
+  /// When non-empty, every Djvm::run_epoch() hands the fresh governor
   /// state + TCM to a background double-buffered snapshot writer targeting
   /// this path (crash-recovery snapshots without stalling the epoch loop;
   /// a slow disk coalesces queued snapshots, latest wins).
   std::string snapshot_path;
-  /// When non-empty, every run_governed_epoch() appends one JSON metrics
+  /// When non-empty, every Djvm::run_epoch() appends one JSON metrics
   /// line (see export/timeline.hpp for the schema) to this path through the
   /// same async writer — the epoch loop never blocks on the log disk.  The
   /// file is truncated at construction, so each run starts a fresh log.
@@ -110,7 +110,7 @@ struct ExportKnobs {
 };
 
 /// Mid-run migration-execution knobs (Config::balance): the execution stage
-/// of Djvm::run_governed_epoch, which applies the migration planner's
+/// of Djvm::run_epoch, which applies the migration planner's
 /// top-scoring suggestions batched per epoch instead of only scoring them
 /// for governor influence.
 struct BalanceKnobs {

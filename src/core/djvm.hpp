@@ -42,10 +42,9 @@ using AccessObserver = std::function<void(ThreadId, ObjectId, bool /*write*/)>;
 /// Observer of interval closes.
 using IntervalObserver = std::function<void(ThreadId)>;
 
-/// One governed epoch's request — the parameter surface run_governed_epoch()
-/// had accreted implicitly, made explicit as a small builder.  The default
-/// request reproduces the legacy entry point exactly, so a quiet
-/// single-tenant run through the tenant API is bit-identical to the old one.
+/// One governed epoch's request (Djvm::run_epoch), a small builder.  The
+/// default request is a quiet single-tenant epoch, so a run through the
+/// tenant API is bit-identical to one that calls run_epoch() directly.
 struct EpochRequest {
   /// Coordinator seconds spent outside the facade on this tenant's behalf
   /// this epoch (e.g. the cluster arbiter's billed decision share); folded
@@ -143,12 +142,6 @@ class Djvm final : public Gos::Hooks {
   /// next epoch's attribution and planning score.
   EpochResult run_epoch(const EpochRequest& request = {});
 
-  /// Deprecated legacy entry point, kept as a thin forwarding wrapper over
-  /// run_epoch() with the default request (identical behavior).  New code —
-  /// and anything multi-tenant — goes through TenantContext::run_epoch or
-  /// run_epoch(EpochRequest) directly.
-  EpochResult run_governed_epoch() { return run_epoch(); }
-
   /// The tenant session handle bound to this VM (identity from
   /// Config::tenant).  Cheap to construct; see TenantContext below.
   [[nodiscard]] TenantContext tenant() noexcept;
@@ -245,7 +238,7 @@ class Djvm final : public Gos::Hooks {
     double score = 0.0;
   };
 
-  /// The execution stage of run_governed_epoch (see Config::balance):
+  /// The execution stage of run_epoch (see Config::balance):
   /// applies deferred planned moves and fresh admitted suggestions under
   /// the cap/min-score/cooldown/veto/dry-run knobs, records events into
   /// `result`, and returns the stage's real seconds.
@@ -269,7 +262,7 @@ class Djvm final : public Gos::Hooks {
   /// Stack-sampler cost attributed to the node the sampled thread ran on.
   std::vector<SimTime> stack_cost_by_node_;
 
-  /// Counters at the previous run_governed_epoch, for per-epoch deltas.
+  /// Counters at the previous run_epoch, for per-epoch deltas.
   struct PumpSnapshot {
     std::uint64_t oal_entries = 0;
     std::uint64_t footprint_touches = 0;

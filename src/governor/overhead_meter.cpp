@@ -12,8 +12,7 @@ double reducible_seconds(const OverheadSample& sample, const OverheadCosts& cost
   return sample.access_check_seconds +
          static_cast<double>(sample.wire_bytes) * costs.seconds_per_wire_byte +
          static_cast<double>(sample.resampled_objects) *
-             costs.seconds_per_resampled_object +
-         costs.coordinator_weight * sample.build_seconds;
+             costs.seconds_per_resampled_object;
 }
 }  // namespace
 

@@ -96,9 +96,6 @@ struct OverheadCosts {
   /// Seconds per object visited in a resampling pass (sampled-bit
   /// recompute: one registry lookup + modulo).
   double seconds_per_resampled_object = 15e-9;
-  /// Weight of coordinator build seconds in the budgeted fraction (0 = the
-  /// paper's dedicated-machine assumption).
-  double coordinator_weight = 0.0;
 };
 
 /// Rolling window of per-epoch overhead samples.
@@ -125,12 +122,13 @@ class OverheadMeter {
   [[nodiscard]] double rolling_fraction() const;
 
   /// The rate-dependent share of rolling_fraction(): what gap coarsening
-  /// can actually reduce (entry CPU + wire + resampling + weighted build);
+  /// can actually reduce (entry CPU + wire + resampling);
   /// excludes OverheadSample::fixed_seconds.
   [[nodiscard]] double rolling_reducible_fraction() const;
 
-  /// Coordinator-side fraction over the window (reported, not budgeted
-  /// unless coordinator_weight > 0).
+  /// Coordinator-side fraction over the window: reported, never budgeted
+  /// (the paper runs the coordinator on a dedicated machine, and host-timed
+  /// build seconds would make the simulated budget depend on host speed).
   [[nodiscard]] double coordinator_fraction() const;
 
   // --- per-node views --------------------------------------------------------

@@ -17,24 +17,8 @@ CorrelationDaemon::CorrelationDaemon(SamplingPlan& plan, std::uint32_t threads)
     : plan_(plan),
       threads_(threads),
       governor_(plan),
-      window_(threads, /*weighted=*/true),
-      full_(threads, /*weighted=*/true),
+      full_(threads),
       latest_(threads) {}
-
-void CorrelationDaemon::fold_arena(OalArena& arena) {
-  // Entries are external input: a class id beyond the registry must not tag
-  // the accumulator (the tag sizes class-indexed attribution vectors — the
-  // same invariant note_epoch_entry enforces on the epoch stats).  Untagged
-  // entries still fold into the map; they just carry no attribution.
-  const std::size_t classes = plan_.heap().registry().size();
-  for (OalEntry& e : arena.entries) {
-    if (e.klass != kInvalidClass && e.klass >= classes) {
-      e.klass = kInvalidClass;
-    }
-  }
-  window_.add({&arena, 1});
-  total_entries_ += arena.entries.size();
-}
 
 void CorrelationDaemon::filter_arena(OalArena& arena) const {
   if (!node_filter_) return;
@@ -72,10 +56,20 @@ std::size_t CorrelationDaemon::ingest(IngestHub& hub, bool quiesced) {
     hub_ = &hub;
     ring_snapshot_ = IngestCounters{};  // deltas restart against the new hub
   }
+  // Entries are external input: a class id beyond the registry must not tag
+  // the window (the tag sizes class-indexed attribution vectors — the same
+  // invariant note_epoch_entry enforces on the epoch stats).  Untagged
+  // entries still count in the map; they just carry no attribution.
+  const std::size_t classes = plan_.heap().registry().size();
   std::size_t consumed = 0;
   const auto consume = [&](OalArena* a) {
     filter_arena(*a);
-    fold_arena(*a);
+    for (OalEntry& e : a->entries) {
+      if (e.klass != kInvalidClass && e.klass >= classes) {
+        e.klass = kInvalidClass;
+      }
+    }
+    total_entries_ += a->entries.size();
     pending_slices_ += a->intervals.size();
     pending_arenas_.push_back(a);
     ++consumed;
@@ -84,8 +78,14 @@ std::size_t CorrelationDaemon::ingest(IngestHub& hub, bool quiesced) {
   if (quiesced) {
     for (OalArena* a : hub.take_stranded()) consume(a);
   }
-  window_fold_seconds_ += seconds_since(t0);
+  ingest_seconds_ += seconds_since(t0);
   return consumed;
+}
+
+ReaderArena CorrelationDaemon::build_window() {
+  return TcmBuilder::reorganize_arena(
+      std::span<const OalArena* const>(pending_arenas_), /*weighted=*/true,
+      scratch_);
 }
 
 EpochResult CorrelationDaemon::run_epoch(OverheadSample sample) {
@@ -128,35 +128,33 @@ EpochResult CorrelationDaemon::run_epoch(OverheadSample sample) {
     }
   }
 
-  // Per-class cell attribution runs against the window accumulator *before*
-  // it is consumed below: the sparse reader lists are the only place the
-  // "which classes produced these cells" question can still be answered
-  // without densifying per class.  Its O(sum readers^2) walk is coordinator
-  // map work like the folds, so it is timed into build_seconds below.
-  double attribution_seconds = 0.0;
+  // The window's map: one CSR arena over every pending arena, its pairs
+  // accrued sparsely, and — against the balancer's placement — its pair mass
+  // split by owning class (the reader lists are the only place the "which
+  // classes produced these cells" question can be answered without
+  // densifying per class).  All of it is coordinator map work, timed into
+  // build_seconds with ingest()'s share.
+  const auto tw = std::chrono::steady_clock::now();
+  const ReaderArena window = build_window();
+  const UpperTriangle pairs = TcmBuilder::accrue_sparse(window, threads_);
   if (want_cells) {
-    const auto ta = std::chrono::steady_clock::now();
-    out.cells = window_.attribute_cells(influence_placement_);
+    out.cells =
+        TcmBuilder::attribute_cells(window, influence_placement_, threads_);
     out.cells.home_mass = std::move(home_mass);
-    attribution_seconds = seconds_since(ta);
   }
+  const double window_seconds = seconds_since(tw);
 
-  // The window's folds already ran at ingest() time; the epoch boundary only
-  // densifies the sparse accumulator.  build_seconds keeps its meaning (full
-  // construction cost of this window's map) so the governor's budget model
-  // is unchanged; densify_seconds is the part the master stalls on here.
   const auto t0 = std::chrono::steady_clock::now();
-  out.tcm = window_.dense();
+  out.tcm = pairs.densify();
   out.densify_seconds = seconds_since(t0);
 
-  // Merge the consumed window into the whole-run accumulator (drained
-  // arenas are recycled, leaving nothing to re-fold later, so build_full's map is fed
-  // eagerly here); under retention, periodically evict stale objects too.
-  // Coordinator map work like the folds, so it is timed into build_seconds.
+  // Merge the window into the whole-run store (drained arenas are recycled,
+  // leaving nothing to re-read later); under retention, periodically evict
+  // stale objects too.
   double retention_seconds = 0.0;
   {
     const auto tr = std::chrono::steady_clock::now();
-    full_.merge(window_);
+    full_.absorb(window);
     if (retention_.active()) {
       full_.advance_epoch();
       if (retention_.compact_period != 0 &&
@@ -165,17 +163,16 @@ EpochResult CorrelationDaemon::run_epoch(OverheadSample sample) {
             full_.compact(retention_.idle_epochs, retention_.decay)
                 .dropped_objects;
       }
-      out.retained_objects = full_.objects_tracked();
+      out.retained_objects = full_.object_count();
       out.retained_readers = full_.reader_entries();
       out.dropped_objects = dropped_objects_;
     }
     retention_seconds = seconds_since(tr);
   }
 
-  out.build_seconds = window_fold_seconds_ + out.densify_seconds +
-                      attribution_seconds + retention_seconds;
-  window_.reset();
-  window_fold_seconds_ = 0.0;
+  out.build_seconds = ingest_seconds_ + window_seconds + out.densify_seconds +
+                      retention_seconds;
+  ingest_seconds_ = 0.0;
   build_seconds_ += out.build_seconds;
   out.epoch = epochs_;
   ++epochs_;
@@ -277,18 +274,17 @@ void CorrelationDaemon::release_pending_arenas() {
 }
 
 SquareMatrix CorrelationDaemon::build_full() {
-  // The whole-run map *is* the whole-run accumulator (fed eagerly by every
-  // run_epoch's window merge) plus whatever sits in the unconsumed window.
-  // The accumulated state carries HT-weighted bytes only — the raw entries
-  // were recycled after the fold, so there is nothing to re-weigh.
-  intervals_seen_ += pending_slices_;
+  // The whole-run map is the store (fed by every run_epoch's window) plus
+  // whatever sits in the unconsumed window.  The store carries HT-weighted
+  // bytes only — the raw entries were recycled after the merge, so there is
+  // nothing to re-weigh.
   const auto tr = std::chrono::steady_clock::now();
+  full_.absorb(build_window());
+  intervals_seen_ += pending_slices_;
   release_pending_arenas();
-  full_.merge(window_);
-  window_.reset();
-  SquareMatrix tcm = full_.dense();
-  build_seconds_ += window_fold_seconds_ + seconds_since(tr);
-  window_fold_seconds_ = 0.0;
+  SquareMatrix tcm = TcmBuilder::accrue_sparse(full_.csr(), threads_).densify();
+  build_seconds_ += ingest_seconds_ + seconds_since(tr);
+  ingest_seconds_ = 0.0;
   latest_ = tcm;
   have_latest_ = true;
   return tcm;
@@ -298,9 +294,8 @@ void CorrelationDaemon::clear() {
   release_pending_arenas();
   hub_ = nullptr;
   ring_snapshot_ = IngestCounters{};
-  window_.reset();
-  window_fold_seconds_ = 0.0;
-  full_.reset();
+  ingest_seconds_ = 0.0;
+  full_.clear();
   latest_ = SquareMatrix(threads_);
   have_latest_ = false;
   governor_.reset();  // clearing discards convergence progress too

@@ -1,14 +1,13 @@
 // The central correlation-computing daemon (the master JVM of Fig. 2).
 //
-// Drains OAL log arenas from worker nodes, folds each delivered arena
-// into a persistent incremental sparse accumulator (see
-// profiling/tcm.hpp) as it arrives, and at each epoch densifies the window's
-// map and hands its movement plus measured costs to the profiling governor,
+// Drains OAL log arenas from worker nodes and holds them until the epoch
+// closes.  At the epoch boundary it reorganizes every pending arena into one
+// CSR window (see profiling/tcm.hpp), accrues and attributes the window's
+// map, merges the window into the whole-run store behind build_full(), and
+// hands the map's movement plus measured costs to the profiling governor,
 // which owns all rate decisions: the paper's Section II.B.2 convergence loop
 // in legacy mode, or the budgeted bidirectional controller with phase
-// detection in closed-loop mode (see governor/governor.hpp).  Folding at
-// ingest() time amortizes the old from-scratch O(MN^2) epoch rebuild across
-// deliveries: the epoch boundary pays only the cheap densify.
+// detection in closed-loop mode (see governor/governor.hpp).
 #pragma once
 
 #include <array>
@@ -39,11 +38,11 @@ struct EpochResult {
   std::size_t epoch = 0;
   std::size_t intervals = 0;
   std::size_t entries = 0;
-  /// Real CPU time of this window's TCM construction: the incremental folds
-  /// paid at ingest() time plus the epoch-boundary densify.
+  /// Real CPU time of this window's TCM construction: ingest()'s own time
+  /// plus the epoch boundary's window build, attribution, densify, whole-run
+  /// merge and retention.
   double build_seconds = 0.0;
-  /// The epoch-boundary share of build_seconds alone (what the master
-  /// actually stalls on at the epoch tick now that folding is incremental).
+  /// The densify of the window's pair cells into the dense map alone.
   double densify_seconds = 0.0;
   /// Relative ABS distance vs the previous epoch's TCM (nullopt on the
   /// first epoch).
@@ -71,12 +70,12 @@ struct EpochResult {
   /// (empty when no per-node samples were ever recorded).
   std::vector<double> node_fractions;
   /// Cluster-wide per-category traffic deltas over this epoch.  The daemon
-  /// never sees the network; the pump (Djvm::run_governed_epoch) fills these
+  /// never sees the network; the pump (Djvm::run_epoch) fills these
   /// from its Network counters for the timeline.
   CategoryBytes traffic_bytes{};
   /// Same per source node (empty when the pump does not track nodes).
   std::vector<CategoryBytes> node_traffic_bytes;
-  /// Retention telemetry (zero when retention is off): whole-run accumulator
+  /// Retention telemetry (zero when retention is off): whole-run store
   /// population after this epoch's merge/compact, and cumulative evictions.
   std::size_t retained_objects = 0;
   std::size_t retained_readers = 0;
@@ -134,9 +133,9 @@ struct EpochResult {
   std::vector<NodeId> lost_nodes;
 };
 
-/// Long-haul retention policy for the daemon's whole-run accumulator (see
-/// TcmAccumulator::compact).  Off by default: the accumulator then grows
-/// with every object the workload ever touches, the pre-retention behavior.
+/// Long-haul retention policy for the daemon's whole-run store (see
+/// TcmStore::compact).  Off by default: the store then grows with every
+/// object the workload ever touches.
 struct RetentionPolicy {
   /// Evict/decay objects untouched for this many epochs; 0 = retention off.
   std::uint32_t idle_epochs = 0;
@@ -155,19 +154,20 @@ class CorrelationDaemon {
   CorrelationDaemon(SamplingPlan& plan, std::uint32_t threads);
 
   /// The only delivery path: drains every published arena out of `hub`
-  /// (round-robin across lanes) and folds each into the window accumulator.
+  /// (round-robin across lanes) and queues it for the next epoch, after
+  /// dropping dead nodes' slices and untagging class ids past the registry.
   /// With `quiesced` (the default — the simulator's producers run on this
   /// same thread) it also collects parked and still-open arenas via
   /// take_stranded(), so an epoch boundary observes every appended entry.
   /// Pass false only when producer threads are still appending concurrently.
   /// Drained arenas are recycled back to their lanes at the next run_epoch
-  /// (their slices back the epoch's statistics until then).  Returns the
-  /// number of arenas consumed.  The daemon keeps no raw OAL history:
-  /// build_full folds through the whole-run accumulator (weighted only).
+  /// (their slices back the epoch's map and statistics until then).  Returns
+  /// the number of arenas consumed.  The daemon keeps no raw OAL history:
+  /// build_full reads the whole-run store (weighted only).
   std::size_t ingest(IngestHub& hub, bool quiesced = true);
 
   /// Installs a liveness predicate consulted at ingest() time: arena slices
-  /// whose logging node fails it are dropped before the fold, so a killed
+  /// whose logging node fails it are dropped before the epoch, so a killed
   /// node's un-shipped intervals die with it exactly as they did when the
   /// pump dropped its raw logs.  An empty function (the default) keeps
   /// everything and costs nothing.
@@ -178,21 +178,20 @@ class CorrelationDaemon {
   /// Ingested arena slices waiting for the next epoch.
   [[nodiscard]] std::size_t pending() const noexcept { return pending_slices_; }
 
-  /// Densifies the window accumulator into this epoch's TCM, compares with
-  /// the previous epoch's map, refreshes the plan's per-class epoch stats,
-  /// and delegates the rate decision to the governor.  `sample` carries the
+  /// Builds this epoch's TCM from the pending arenas, compares it with the
+  /// previous epoch's map, refreshes the plan's per-class epoch stats, and
+  /// delegates the rate decision to the governor.  `sample` carries the
   /// epoch's measured costs (the Djvm pump hook assembles it from
   /// GOS/network deltas); fields left zero are filled in from the slices
   /// themselves (entries, wire bytes) and the build timers.  Consumes the
-  /// pending arenas and window accumulator, merging the window into the
-  /// whole-run accumulator behind build_full().
+  /// pending arenas, merging the window into the whole-run store behind
+  /// build_full().
   EpochResult run_epoch(OverheadSample sample = {});
 
   /// Hands the daemon the balancer's current thread-to-node placement; the
   /// next run_epoch splits the window's pair mass by owning class into cut
   /// vs local shares against it (EpochResult::cells), answered sparsely off
-  /// the window accumulator before it is consumed.  An empty vector turns
-  /// attribution off.
+  /// the window's CSR arena.  An empty vector turns attribution off.
   void set_influence_placement(std::vector<NodeId> node_of_thread) {
     influence_placement_ = std::move(node_of_thread);
   }
@@ -205,7 +204,7 @@ class CorrelationDaemon {
   [[nodiscard]] const Governor& governor() const noexcept { return governor_; }
 
   /// Installs the long-haul retention policy.  Without it the whole-run
-  /// accumulator grows with every object the workload ever touches; with
+  /// store grows with every object the workload ever touches; with
   /// retention active each epoch's merge is followed by periodic compaction
   /// that evicts stale objects.  Set it before the first epoch; switching
   /// mid-run only bounds growth from that point on.
@@ -234,15 +233,19 @@ class CorrelationDaemon {
   /// Latest epoch's TCM (empty matrix before the first epoch).
   [[nodiscard]] const SquareMatrix& latest() const noexcept { return latest_; }
 
-  /// Builds one HT-weighted TCM over *all* entries ever ingested (used by
-  /// benches that want a whole-run map); also accumulates build-time
-  /// statistics.  The whole-run accumulator is fed incrementally by every
-  /// run_epoch, so this only merges the unconsumed window in and densifies —
-  /// repeated calls pay nothing for already-consumed epochs.  The raw
-  /// entries are recycled after the fold, so an unweighted variant is not
-  /// available (tools that need the raw OAL stream drain the Gos ingest hub
-  /// themselves, before the daemon does — see Gos::ingest).
+  /// Builds one HT-weighted TCM over *all* entries ever ingested (less what
+  /// retention evicted), for callers that want a whole-run map at the end of
+  /// a run; also accumulates build-time statistics.  Every run_epoch merges
+  /// its window into the whole-run store, so this merges only the
+  /// unconsumed window, then accrues the store's pairs — on demand, so the
+  /// cost is O(store) per call.  The raw entries are recycled after the
+  /// merge, so an unweighted variant is not available (tools that need the
+  /// raw OAL stream drain the Gos ingest hub themselves, before the daemon
+  /// does — see Gos::ingest).
   SquareMatrix build_full();
+
+  /// The whole-run store behind build_full() (its pending window not merged).
+  [[nodiscard]] const TcmStore& store() const noexcept { return full_; }
 
   /// Total real seconds spent in TCM construction (Table III's rightmost
   /// column; the paper runs this on a dedicated machine so it does not add
@@ -259,12 +262,11 @@ class CorrelationDaemon {
   void clear();
 
  private:
-  /// Sanitizes one arena's entries (class ids beyond the registry untag) and
-  /// folds it into the window.
-  void fold_arena(OalArena& arena);
   /// Compacts one arena in place, dropping slices whose node fails the
   /// installed liveness predicate (no-op without one).
   void filter_arena(OalArena& arena) const;
+  /// Reorganizes every pending arena into one CSR window.
+  ReaderArena build_window();
   /// Recycles consumed pending arenas back to their lanes.
   void release_pending_arenas();
 
@@ -280,15 +282,14 @@ class CorrelationDaemon {
   IngestCounters ring_snapshot_;
   /// Liveness predicate applied to arena slices at ingest() (empty = keep all).
   std::function<bool(NodeId)> node_filter_;
-  /// Incremental sparse accumulator over the current window: every ingest()
-  /// folds its arenas in, so the epoch boundary only densifies.
-  TcmAccumulator window_;
-  /// Fold time already paid for the current window (ingest-side share of the
+  /// Reorganize scratch reused by every window build.
+  ArenaScratch scratch_;
+  /// ingest() time already paid for the current window (a share of the
   /// next epoch's build_seconds).
-  double window_fold_seconds_ = 0.0;
-  /// Whole-run accumulator behind build_full(), fed eagerly by every
-  /// run_epoch's window merge and, under retention, bounded by compact().
-  TcmAccumulator full_;
+  double ingest_seconds_ = 0.0;
+  /// Whole-run store behind build_full(), fed by every run_epoch's window
+  /// and, under retention, bounded by compact().
+  TcmStore full_;
   RetentionPolicy retention_;
   std::size_t intervals_seen_ = 0;   ///< slices consumed (backs total_intervals)
   std::size_t dropped_objects_ = 0;  ///< cumulative retention evictions

@@ -1,17 +1,11 @@
 #include "profiling/tcm.hpp"
 
 #include <algorithm>
-#include <cassert>
-
+#include <numeric>
 
 namespace djvm {
 
 namespace {
-
-/// Direct-index tables stop growing past this many object ids; rarer sparse
-/// ids (nothing in the tree produces them, but the API accepts any id) go
-/// through a hash map instead of sizing an allocation.
-constexpr ObjectId kDirectSlotCap = 1ull << 24;
 
 /// An entry's byte value: Horvitz-Thompson scaled by its logging-time gap
 /// when `weighted`, raw otherwise.
@@ -20,38 +14,12 @@ double entry_bytes(const OalEntry& e, bool weighted) {
                   : static_cast<double>(e.bytes);
 }
 
-/// build_reference's per-object access summary: (thread, weighted bytes)
-/// readers, each byte value the maximum over the window's intervals.
-struct ObjectAccessSummary {
-  ObjectId obj = kInvalidObject;
-  std::vector<std::pair<ThreadId, double>> readers;
-};
-
-/// build_reference's dense accrual: cell (i, j) accumulates
-/// min(bytes_i, bytes_j) per object shared by threads i and j.
-SquareMatrix accrue(std::span<const ObjectAccessSummary> summaries,
-                    std::uint32_t threads) {
-  SquareMatrix tcm(threads);
-  for (const ObjectAccessSummary& s : summaries) {
-    const auto& r = s.readers;
-    for (std::size_t i = 0; i < r.size(); ++i) {
-      for (std::size_t j = i + 1; j < r.size(); ++j) {
-        const double shared = std::min(r[i].second, r[j].second);
-        if (r[i].first < threads && r[j].first < threads) {
-          tcm.add_symmetric(r[i].first, r[j].first, shared);
-        }
-      }
-    }
-  }
-  return tcm;
-}
-
 }  // namespace
 
 // --- ObjectSlotMap ------------------------------------------------------------
 
 std::int32_t ObjectSlotMap::get_or_assign(ObjectId obj, bool& fresh) {
-  if (obj < kDirectSlotCap) [[likely]] {
+  if (obj < kDirectCap) [[likely]] {
     if (obj >= table_.size()) {
       table_.resize(static_cast<std::size_t>(obj) + 1, -1);
     }
@@ -66,16 +34,9 @@ std::int32_t ObjectSlotMap::get_or_assign(ObjectId obj, bool& fresh) {
   return it->second;
 }
 
-bool ObjectSlotMap::contains(ObjectId obj) const {
-  if (obj < kDirectSlotCap) {
-    return obj < table_.size() && table_[static_cast<std::size_t>(obj)] >= 0;
-  }
-  return spill_.count(obj) != 0;
-}
-
 void ObjectSlotMap::release(std::span<const ObjectId> touched) {
   for (const ObjectId obj : touched) {
-    if (obj < kDirectSlotCap) {
+    if (obj < kDirectCap) {
       table_[static_cast<std::size_t>(obj)] = -1;
     }
   }
@@ -171,12 +132,17 @@ ReaderArena reorganize_impl(ArenaScratch& s, std::size_t total_hint,
 
 }  // namespace
 
-ReaderArena TcmBuilder::reorganize_arena(std::span<const OalArena> logs,
-                                         bool weighted, ArenaScratch& s) {
+namespace {
+
+/// Reorganizes every slice of `logs`; `log_of` maps an element to its arena.
+template <typename Logs, typename LogOf>
+ReaderArena reorganize_logs(const Logs& logs, LogOf log_of, bool weighted,
+                            ArenaScratch& s) {
   std::size_t total_entries = 0;
-  for (const OalArena& log : logs) total_entries += log.entries.size();
+  for (const auto& l : logs) total_entries += log_of(l).entries.size();
   return reorganize_impl(s, total_entries, [&](auto&& emit) {
-    for (const OalArena& log : logs) {
+    for (const auto& l : logs) {
+      const OalArena& log = log_of(l);
       for (const ArenaInterval& iv : log.intervals) {
         for (std::uint32_t i = iv.begin; i < iv.end; ++i) {
           const OalEntry& e = log.entries[i];
@@ -185,6 +151,22 @@ ReaderArena TcmBuilder::reorganize_arena(std::span<const OalArena> logs,
       }
     }
   });
+}
+
+}  // namespace
+
+ReaderArena TcmBuilder::reorganize_arena(std::span<const OalArena> logs,
+                                         bool weighted, ArenaScratch& s) {
+  return reorganize_logs(
+      logs, [](const OalArena& l) -> const OalArena& { return l; }, weighted,
+      s);
+}
+
+ReaderArena TcmBuilder::reorganize_arena(std::span<const OalArena* const> logs,
+                                         bool weighted, ArenaScratch& s) {
+  return reorganize_logs(
+      logs, [](const OalArena* l) -> const OalArena& { return *l; }, weighted,
+      s);
 }
 
 ReaderArena TcmBuilder::reorganize_arena(std::span<const ArenaSliceRef> slices,
@@ -239,132 +221,9 @@ UpperTriangle TcmBuilder::accrue_sparse(const ReaderArena& arena,
   return pairs;
 }
 
-SquareMatrix TcmBuilder::build_reference(std::span<const OalArena> logs,
-                                         std::uint32_t threads, bool weighted) {
-  // The seed's pipeline: per-object summaries behind a hash map (one rehash
-  // + one linear reader scan per entry, one vector per object), then dense
-  // accrual — the oracle the sparse pipeline is measured and verified
-  // against.
-  std::unordered_map<ObjectId, std::size_t> index;
-  std::vector<ObjectAccessSummary> summaries;
-  index.reserve(1024);
-  for (const OalArena& log : logs) {
-    for (const ArenaInterval& iv : log.intervals) {
-      for (std::uint32_t i = iv.begin; i < iv.end; ++i) {
-        const OalEntry& e = log.entries[i];
-        const double bytes = entry_bytes(e, weighted);
-        auto [it, inserted] = index.try_emplace(e.obj, summaries.size());
-        if (inserted) {
-          summaries.push_back(ObjectAccessSummary{e.obj, {}});
-        }
-        auto& readers = summaries[it->second].readers;
-        auto rit = std::find_if(readers.begin(), readers.end(),
-                                [&](const auto& p) { return p.first == iv.thread; });
-        if (rit == readers.end()) {
-          readers.emplace_back(iv.thread, bytes);
-        } else {
-          rit->second = std::max(rit->second, bytes);
-        }
-      }
-    }
-  }
-  return accrue(summaries, threads);
-}
-
-// --- incremental accumulator --------------------------------------------------
-
-TcmAccumulator::TcmAccumulator(std::uint32_t threads, bool weighted)
-    : threads_(threads), weighted_(weighted), pairs_(threads) {}
-
-std::int32_t TcmAccumulator::assign_slot(ObjectId obj) {
-  bool fresh = false;
-  const std::int32_t slot = slots_.get_or_assign(obj, fresh);
-  if (fresh) {
-    touched_.push_back(obj);
-    klass_.push_back(kInvalidClass);
-    heads_.push_back(kNone);
-    last_touch_.push_back(epoch_);
-    decay_epoch_.push_back(kNeverDecayed);
-  }
-  return slot;
-}
-
-std::int32_t TcmAccumulator::alloc_reader(ThreadId thread, double bytes,
-                                          std::int32_t next) {
-  ++live_readers_;
-  if (free_head_ != kNone) {
-    const std::int32_t r = free_head_;
-    free_head_ = pool_[r].next;
-    pool_[r] = Reader{thread, bytes, next};
-    return r;
-  }
-  pool_.push_back(Reader{thread, bytes, next});
-  return static_cast<std::int32_t>(pool_.size()) - 1;
-}
-
-void TcmAccumulator::add_one(ObjectId obj, ThreadId thread, double bytes) {
-  if (thread >= threads_) return;  // beyond the map's dimension (as accrue)
-  const std::int32_t slot = assign_slot(obj);
-  last_touch_[static_cast<std::size_t>(slot)] = epoch_;
-  std::int32_t& head = heads_[static_cast<std::size_t>(slot)];
-
-  std::int32_t found = kNone;
-  for (std::int32_t r = head; r != kNone; r = pool_[r].next) {
-    if (pool_[r].thread == thread) {
-      found = r;
-      break;
-    }
-  }
-  if (found != kNone) {
-    const double old = pool_[found].bytes;
-    if (bytes <= old) return;  // max-combining: nothing new to contribute
-    // Raising this reader's byte value moves every pair it participates in
-    // by min(new, other) - min(old, other); the invariant pair == min(cur_i,
-    // cur_j) per object is preserved.
-    for (std::int32_t r = head; r != kNone; r = pool_[r].next) {
-      if (r == found) continue;
-      const double other = pool_[r].bytes;
-      const double delta = std::min(bytes, other) - std::min(old, other);
-      if (delta > 0.0) pairs_.add(thread, pool_[r].thread, delta);
-    }
-    pool_[found].bytes = bytes;
-    return;
-  }
-  // First sighting of this (object, thread): pair up with every reader
-  // already on the object's list.
-  for (std::int32_t r = head; r != kNone; r = pool_[r].next) {
-    pairs_.add(thread, pool_[r].thread, std::min(bytes, pool_[r].bytes));
-  }
-  head = alloc_reader(thread, bytes, head);
-}
-
-void TcmAccumulator::add(std::span<const OalArena> logs) {
-  // Arena-reorganize the batch first: in-batch duplicates collapse under a
-  // stamp check instead of paying a reader-list walk each.  The scratch
-  // persists across folds, so steady-state batches allocate only the
-  // arena's own payload.
-  const ReaderArena arena =
-      TcmBuilder::reorganize_arena(logs, weighted_, scratch_);
-  for (std::size_t k = 0; k < arena.object_count(); ++k) {
-    add_readers(arena.objects[k], arena.readers_of(k), arena.klass[k]);
-  }
-}
-
-void TcmAccumulator::add_readers(
-    ObjectId obj, std::span<const std::pair<ThreadId, double>> readers,
-    ClassId klass) {
-  for (const auto& [thread, bytes] : readers) add_one(obj, thread, bytes);
-  if (klass == kInvalidClass) return;
-  // Tag only objects that actually hold a slot (every reader could have been
-  // beyond the map's dimension, in which case add_one assigned nothing).
-  if (slots_.contains(obj)) {
-    bool fresh = false;
-    klass_[static_cast<std::size_t>(slots_.get_or_assign(obj, fresh))] = klass;
-  }
-}
-
-TcmClassAttribution TcmAccumulator::attribute_cells(
-    std::span<const NodeId> node_of_thread) const {
+TcmClassAttribution TcmBuilder::attribute_cells(
+    const ReaderArena& arena, std::span<const NodeId> node_of_thread,
+    std::uint32_t threads) {
   TcmClassAttribution out;
   const auto node_of = [&](ThreadId t) {
     return t < node_of_thread.size() ? node_of_thread[t] : kInvalidNode;
@@ -375,165 +234,239 @@ TcmClassAttribution TcmAccumulator::attribute_cells(
       out.local_bytes.resize(c + 1, 0.0);
       out.thread_mass.resize(c + 1);
     }
-    if (out.thread_mass[c].empty()) out.thread_mass[c].resize(threads_, 0.0);
+    if (out.thread_mass[c].empty()) out.thread_mass[c].resize(threads, 0.0);
   };
-  for (std::size_t slot = 0; slot < touched_.size(); ++slot) {
-    const ClassId klass = klass_[slot];
-    if (klass == kInvalidClass) continue;  // untagged partial: no attribution
+  for (std::size_t k = 0; k < arena.object_count(); ++k) {
+    const ClassId klass = arena.klass[k];
+    if (klass == kInvalidClass) continue;  // untagged: no attribution
     const auto c = static_cast<std::size_t>(klass);
-    for (std::int32_t i = heads_[slot]; i != kNone; i = pool_[i].next) {
-      for (std::int32_t j = pool_[i].next; j != kNone; j = pool_[j].next) {
-        const double w = std::min(pool_[i].bytes, pool_[j].bytes);
+    const auto r = arena.readers_of(k);
+    for (std::size_t i = 0; i < r.size(); ++i) {
+      if (r[i].first >= threads) continue;
+      for (std::size_t j = i + 1; j < r.size(); ++j) {
+        if (r[j].first >= threads) continue;
+        const double w = std::min(r[i].second, r[j].second);
         if (w <= 0.0) continue;
         grow(c);
-        const NodeId ni = node_of(pool_[i].thread);
-        const NodeId nj = node_of(pool_[j].thread);
+        const NodeId ni = node_of(r[i].first);
+        const NodeId nj = node_of(r[j].first);
         // Unplaced threads make no cross-node claim: count them local.
         if (ni != nj && ni != kInvalidNode && nj != kInvalidNode) {
           out.cut_bytes[c] += w;
         } else {
           out.local_bytes[c] += w;
         }
-        out.thread_mass[c][pool_[i].thread] += w;
-        out.thread_mass[c][pool_[j].thread] += w;
+        out.thread_mass[c][r[i].first] += w;
+        out.thread_mass[c][r[j].first] += w;
       }
     }
   }
   return out;
 }
 
-void TcmAccumulator::merge(const TcmAccumulator& other) {
-  assert(threads_ == other.threads_);
-  // Replay the other partial's reader lists: cross-partial pairs appear as
-  // the readers land, and pairs internal to `other` are reconstructed, so
-  // the merged state is exactly what one accumulator over both streams
-  // would hold.
-  for (std::size_t slot = 0; slot < other.touched_.size(); ++slot) {
-    const ObjectId obj = other.touched_[slot];
-    for (std::int32_t r = other.heads_[slot]; r != kNone; r = other.pool_[r].next) {
-      add_one(obj, other.pool_[r].thread, other.pool_[r].bytes);
-    }
-    if (other.klass_[slot] != kInvalidClass && slots_.contains(obj)) {
-      bool fresh = false;
-      klass_[static_cast<std::size_t>(slots_.get_or_assign(obj, fresh))] =
-          other.klass_[slot];
+// --- whole-run store ----------------------------------------------------------
+
+TcmStore::TcmStore(std::uint32_t threads)
+    : threads_(threads), stamp_(threads, 0), pos_(threads, 0) {
+  csr_.offsets.push_back(0);
+}
+
+void TcmStore::order_window(const ReaderArena& w) {
+  const std::size_t n = w.object_count();
+  order_.resize(n);
+  std::iota(order_.begin(), order_.end(), 0u);
+  if (n == 0) return;
+  const auto [lo, hi] = std::minmax_element(w.objects.begin(), w.objects.end());
+  const auto range = static_cast<std::size_t>(*hi - *lo) + 1;
+  if (*hi >= ObjectSlotMap::kDirectCap || range / 8 > n) {
+    // Spill or sparse ids: sort.
+    std::sort(order_.begin(), order_.end(),
+              [&](std::uint32_t a, std::uint32_t b) {
+                return w.objects[a] < w.objects[b];
+              });
+    return;
+  }
+  // Compact ids (the common case): scan a direct-indexed table over the
+  // window's id range instead of sorting.
+  if (rank_.size() < range) rank_.resize(range, -1);
+  for (std::size_t k = 0; k < n; ++k) {
+    rank_[w.objects[k] - *lo] = static_cast<std::int32_t>(k);
+  }
+  order_.clear();
+  for (std::size_t i = 0; i < range; ++i) {
+    if (rank_[i] >= 0) {
+      order_.push_back(static_cast<std::uint32_t>(rank_[i]));
+      rank_[i] = -1;
     }
   }
 }
 
-void TcmAccumulator::reset() {
-  slots_.release(touched_);
-  touched_.clear();
-  klass_.clear();
-  heads_.clear();
-  last_touch_.clear();
-  decay_epoch_.clear();
-  pool_.clear();
-  pairs_.clear();
-  free_head_ = kNone;
-  live_readers_ = 0;
-  epoch_ = 0;
+void TcmStore::stamp_readers(std::uint32_t begin, std::uint32_t end) {
+  ++tag_;
+  for (std::uint32_t r = begin; r < end; ++r) {
+    const ThreadId t = csr_.readers[r].first;
+    stamp_[t] = tag_;
+    pos_[t] = r;
+  }
 }
 
-TcmCompactStats TcmAccumulator::compact(std::uint32_t idle_epochs,
-                                        double decay) {
+void TcmStore::absorb(const ReaderArena& w) {
+  order_window(w);
+  auto& ids = csr_.objects;
+  auto& offsets = csr_.offsets;
+  auto& readers = csr_.readers;
+  const std::size_t n = ids.size();
+
+  // Pass 1, forward co-scan: max-combine readers of held objects in place,
+  // and count the objects and readers the store must grow by.
+  std::size_t new_objects = 0;
+  std::size_t new_readers = 0;
+  std::size_t i = 0;
+  for (const std::uint32_t k : order_) {
+    const ObjectId id = w.objects[k];
+    while (i < n && ids[i] < id) ++i;
+    const bool held = i < n && ids[i] == id;
+    if (held) stamp_readers(offsets[i], offsets[i + 1]);
+    std::size_t grown = 0;
+    bool touched = false;
+    for (const auto& [t, bytes] : w.readers_of(k)) {
+      if (t >= threads_) continue;
+      touched = true;
+      if (held && stamp_[t] == tag_) {
+        double& cur = readers[pos_[t]].second;
+        cur = std::max(cur, bytes);
+      } else {
+        ++grown;
+      }
+    }
+    if (!touched) continue;
+    if (held) {
+      last_touch_[i] = epoch_;
+    } else {
+      ++new_objects;
+    }
+    new_readers += grown;
+  }
+  if (new_objects == 0 && new_readers == 0) return;
+
+  // Pass 2, back to front: every held object keeps its place relative to
+  // the others, so each segment moves right by the new readers below it and
+  // is moved once.  Stops as soon as nothing below needs to shift.
+  const auto old_readers = static_cast<std::uint32_t>(readers.size());
+  ids.resize(n + new_objects);
+  last_touch_.resize(n + new_objects);
+  decay_epoch_.resize(n + new_objects);
+  offsets.resize(n + new_objects + 1);
+  readers.resize(old_readers + new_readers);
+  std::size_t src = n;                 // held objects [0, src) not yet placed
+  std::size_t dst = n + new_objects;   // output slots [0, dst) not yet written
+  std::uint32_t src_end = old_readers; // end of held object src - 1's readers
+  auto dst_end = static_cast<std::uint32_t>(readers.size());
+  offsets[dst] = dst_end;
+  std::size_t kk = order_.size();      // window objects order_[0, kk) left
+  const auto append_new = [&](std::uint32_t k, bool held) {
+    // Writes window object k's readers the store lacks below dst_end.
+    for (const auto& rd : w.readers_of(k)) {
+      if (rd.first < threads_ && !(held && stamp_[rd.first] == tag_)) {
+        readers[--dst_end] = rd;
+      }
+    }
+  };
+  while (dst != src || dst_end != src_end) {
+    if (kk > 0 && (src == 0 || w.objects[order_[kk - 1]] > ids[src - 1])) {
+      // A window object the store does not hold yet.
+      const std::uint32_t k = order_[--kk];
+      const std::uint32_t end = dst_end;
+      append_new(k, /*held=*/false);
+      if (dst_end == end) continue;  // no reader within the thread bound
+      --dst;
+      ids[dst] = w.objects[k];
+      last_touch_[dst] = epoch_;
+      decay_epoch_[dst] = kNeverDecayed;
+      offsets[dst] = dst_end;
+      continue;
+    }
+    --src;
+    const std::uint32_t begin = offsets[src];
+    if (kk > 0 && w.objects[order_[kk - 1]] == ids[src]) {
+      stamp_readers(begin, src_end);
+      append_new(order_[--kk], /*held=*/true);
+    }
+    std::move_backward(readers.begin() + begin, readers.begin() + src_end,
+                       readers.begin() + dst_end);
+    dst_end -= src_end - begin;
+    --dst;
+    ids[dst] = ids[src];
+    last_touch_[dst] = last_touch_[src];
+    decay_epoch_[dst] = decay_epoch_[src];
+    offsets[dst] = dst_end;
+    src_end = begin;
+  }
+}
+
+TcmCompactStats TcmStore::compact(std::uint32_t idle_epochs, double decay) {
   TcmCompactStats stats;
   if (idle_epochs == 0) return stats;  // age 0 would evict the live epoch too
-  bool any_dead = false;
-  for (std::size_t slot = 0; slot < touched_.size(); ++slot) {
-    if (heads_[slot] == kNone) continue;  // already evicted, awaiting compact
-    const std::uint32_t age = epoch_ - last_touch_[slot];
-    if (age < idle_epochs) continue;
-
-    if (decay > 0.0) {
-      if (decay_epoch_[slot] == epoch_) continue;  // idempotent per epoch
+  auto& ids = csr_.objects;
+  auto& offsets = csr_.offsets;
+  auto& readers = csr_.readers;
+  std::size_t kept = 0;
+  std::uint32_t write = 0;
+  std::uint32_t begin = 0;
+  for (std::size_t k = 0; k < ids.size(); ++k) {
+    const std::uint32_t end = offsets[k + 1];
+    const std::uint32_t lo = begin;
+    begin = end;
+    if (epoch_ - last_touch_[k] >= idle_epochs &&
+        !(decay > 0.0 && decay_epoch_[k] == epoch_)) {
       double max_bytes = 0.0;
-      for (std::int32_t r = heads_[slot]; r != kNone; r = pool_[r].next) {
-        max_bytes = std::max(max_bytes, pool_[r].bytes);
+      for (std::uint32_t r = lo; r < end; ++r) {
+        max_bytes = std::max(max_bytes, readers[r].second);
       }
-      if (decay * max_bytes >= 1.0) {
-        // Scaling every reader of this object by d scales each of its pair
-        // contributions min(b_i, b_j) by d as well: subtract the (1 - d)
-        // share, then scale the bytes, and the invariant holds over the
-        // decayed values.
-        for (std::int32_t i = heads_[slot]; i != kNone; i = pool_[i].next) {
-          for (std::int32_t j = pool_[i].next; j != kNone; j = pool_[j].next) {
-            const double w = std::min(pool_[i].bytes, pool_[j].bytes);
-            if (w > 0.0) {
-              pairs_.add(pool_[i].thread, pool_[j].thread, -(1.0 - decay) * w);
-            }
-          }
-        }
-        for (std::int32_t r = heads_[slot]; r != kNone; r = pool_[r].next) {
-          pool_[r].bytes *= decay;
-        }
-        decay_epoch_[slot] = epoch_;
+      if (decay > 0.0 && decay * max_bytes >= 1.0) {
+        for (std::uint32_t r = lo; r < end; ++r) readers[r].second *= decay;
+        decay_epoch_[k] = epoch_;
         ++stats.decayed_objects;
+      } else {
+        // decay 0, or decayed to less than a byte: dust.
+        ++stats.dropped_objects;
+        stats.dropped_readers += end - lo;
         continue;
       }
-      // Decayed to less than a byte: dust — fall through to the drop path.
     }
-
-    // Drop outright: subtract this object's exact pair contribution (byte
-    // values are the ones the adds accumulated, so never-decayed objects
-    // cancel exactly), return its reader nodes to the free list.
-    for (std::int32_t i = heads_[slot]; i != kNone; i = pool_[i].next) {
-      for (std::int32_t j = pool_[i].next; j != kNone; j = pool_[j].next) {
-        const double w = std::min(pool_[i].bytes, pool_[j].bytes);
-        if (w > 0.0) pairs_.add(pool_[i].thread, pool_[j].thread, -w);
-      }
-    }
-    for (std::int32_t r = heads_[slot]; r != kNone;) {
-      const std::int32_t next = pool_[r].next;
-      pool_[r].next = free_head_;
-      free_head_ = r;
-      r = next;
-      --live_readers_;
-      ++stats.freed_readers;
-    }
-    heads_[slot] = kNone;
-    any_dead = true;
-    ++stats.dropped_objects;
+    std::move(readers.begin() + lo, readers.begin() + end,
+              readers.begin() + write);
+    ids[kept] = ids[k];
+    last_touch_[kept] = last_touch_[k];
+    decay_epoch_[kept] = decay_epoch_[k];
+    offsets[kept] = write;
+    write += end - lo;
+    ++kept;
   }
-
-  if (any_dead) {
-    // Compact the slot arrays in place (stable order), then re-assign
-    // sequential slots: get_or_assign hands out 0, 1, 2... in call order, so
-    // survivor k lands back at slot k.
-    slots_.release(touched_);
-    std::size_t w = 0;
-    for (std::size_t slot = 0; slot < touched_.size(); ++slot) {
-      if (heads_[slot] == kNone) continue;
-      touched_[w] = touched_[slot];
-      klass_[w] = klass_[slot];
-      heads_[w] = heads_[slot];
-      last_touch_[w] = last_touch_[slot];
-      decay_epoch_[w] = decay_epoch_[slot];
-      ++w;
-    }
-    touched_.resize(w);
-    klass_.resize(w);
-    heads_.resize(w);
-    last_touch_.resize(w);
-    decay_epoch_.resize(w);
-    for (std::size_t k = 0; k < w; ++k) {
-      bool fresh = false;
-      const std::int32_t s = slots_.get_or_assign(touched_[k], fresh);
-      assert(fresh && s == static_cast<std::int32_t>(k));
-      (void)s;
-    }
-  }
+  ids.resize(kept);
+  last_touch_.resize(kept);
+  decay_epoch_.resize(kept);
+  offsets.resize(kept + 1);
+  offsets[kept] = write;
+  readers.resize(write);
   return stats;
 }
 
-std::size_t TcmAccumulator::memory_bytes() const noexcept {
-  return touched_.capacity() * sizeof(ObjectId) +
-         klass_.capacity() * sizeof(ClassId) +
-         heads_.capacity() * sizeof(std::int32_t) +
+void TcmStore::clear() {
+  csr_.objects.clear();
+  csr_.readers.clear();
+  csr_.offsets.assign(1, 0);
+  last_touch_.clear();
+  decay_epoch_.clear();
+  epoch_ = 0;
+}
+
+std::size_t TcmStore::memory_bytes() const noexcept {
+  return csr_.objects.capacity() * sizeof(ObjectId) +
+         csr_.offsets.capacity() * sizeof(std::uint32_t) +
+         csr_.readers.capacity() * sizeof(csr_.readers[0]) +
          last_touch_.capacity() * sizeof(std::uint32_t) +
-         decay_epoch_.capacity() * sizeof(std::uint32_t) +
-         pool_.capacity() * sizeof(Reader) +
-         pairs_.cell_count() * sizeof(double);
+         decay_epoch_.capacity() * sizeof(std::uint32_t);
 }
 
 }  // namespace djvm

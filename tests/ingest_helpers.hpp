@@ -3,12 +3,17 @@
 // vector of arenas — one slice per closed interval via interval_log(), or
 // re-packed into fixed-capacity arenas via repack() — and reaches a
 // CorrelationDaemon through a real ingest hub (ArenaFeeder).  Raw OAL
-// streams come out of a running Gos by draining its hub (drain_hub).
+// streams come out of a running Gos by draining its hub (drain_hub).  The
+// TCM oracle (build_reference) lives here too, next to the production CSR
+// path (fold_map) it checks.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
+#include <iterator>
+#include <map>
 #include <span>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -79,13 +84,144 @@ inline std::vector<const OalArena*> log_ptrs(std::span<const OalArena> logs) {
   return out;
 }
 
-/// The production fold — one TcmAccumulator batch over `logs` — densified.
+/// The production window map over `logs`: one CSR reorganize, sparse
+/// accrual, densify.
 inline SquareMatrix fold_map(std::span<const OalArena> logs,
                              std::uint32_t threads, bool weighted = true) {
-  TcmAccumulator acc(threads, weighted);
-  acc.add(logs);
-  return acc.dense();
+  ArenaScratch scratch;
+  return TcmBuilder::accrue_sparse(
+             TcmBuilder::reorganize_arena(logs, weighted, scratch), threads)
+      .densify();
 }
+
+/// Reorganizes `logs` (HT-weighted) and merges them into `store` as one
+/// window.
+inline void absorb_logs(TcmStore& store, std::span<const OalArena> logs,
+                        ArenaScratch& scratch) {
+  store.absorb(TcmBuilder::reorganize_arena(logs, /*weighted=*/true, scratch));
+}
+
+/// The store's whole-run map.
+inline SquareMatrix store_map(const TcmStore& store) {
+  return TcmBuilder::accrue_sparse(store.csr(), store.threads()).densify();
+}
+
+/// The TCM oracle: the seed's textbook pipeline, kept for equivalence tests
+/// and as the "dense from scratch" side of bench_tcm_scale.  A hash map from
+/// object id to a per-object reader vector (one rehash + one linear reader
+/// scan per entry, each byte value the maximum over the window's
+/// intervals), then a dense accrual: cell (i, j) accumulates
+/// min(bytes_i, bytes_j) per object shared by threads i and j.
+inline SquareMatrix build_reference(std::span<const OalArena> logs,
+                                    std::uint32_t threads,
+                                    bool weighted = true) {
+  std::unordered_map<ObjectId, std::size_t> index;
+  std::vector<std::vector<std::pair<ThreadId, double>>> readers_of;
+  index.reserve(1024);
+  for (const OalArena& log : logs) {
+    for (const ArenaInterval& iv : log.intervals) {
+      for (std::uint32_t i = iv.begin; i < iv.end; ++i) {
+        const OalEntry& e = log.entries[i];
+        const double bytes = weighted ? static_cast<double>(e.bytes) * e.gap
+                                      : static_cast<double>(e.bytes);
+        auto [it, inserted] = index.try_emplace(e.obj, readers_of.size());
+        if (inserted) readers_of.emplace_back();
+        auto& readers = readers_of[it->second];
+        auto rit = std::find_if(
+            readers.begin(), readers.end(),
+            [&](const auto& p) { return p.first == iv.thread; });
+        if (rit == readers.end()) {
+          readers.emplace_back(iv.thread, bytes);
+        } else {
+          rit->second = std::max(rit->second, bytes);
+        }
+      }
+    }
+  }
+  SquareMatrix tcm(threads);
+  for (const auto& r : readers_of) {
+    for (std::size_t i = 0; i < r.size(); ++i) {
+      for (std::size_t j = i + 1; j < r.size(); ++j) {
+        if (r[i].first < threads && r[j].first < threads) {
+          tcm.add_symmetric(r[i].first, r[j].first,
+                            std::min(r[i].second, r[j].second));
+        }
+      }
+    }
+  }
+  return tcm;
+}
+
+/// The whole-run oracle: per object, a std::map of max-combined readers
+/// (HT-weighted), put through the daemon's retention rules, then accrued
+/// densely — an independent model of TcmStore under RetentionPolicy.
+struct StoreOracle {
+  struct Object {
+    std::map<ThreadId, double> readers;
+    std::uint32_t last_touch = 0;
+    std::uint32_t decay_epoch = 0xFFFFFFFFu;
+  };
+  std::map<ObjectId, Object> objects;
+  std::uint32_t clock = 0;
+  std::size_t dropped = 0;
+
+  void absorb(std::span<const OalArena> logs, std::uint32_t threads) {
+    for (const OalArena& log : logs) {
+      for (const ArenaInterval& iv : log.intervals) {
+        if (iv.thread >= threads) continue;
+        for (std::uint32_t i = iv.begin; i < iv.end; ++i) {
+          const OalEntry& e = log.entries[i];
+          const double bytes = static_cast<double>(e.bytes) * e.gap;
+          Object& o = objects[e.obj];
+          auto [it, fresh] = o.readers.try_emplace(iv.thread, bytes);
+          if (!fresh) it->second = std::max(it->second, bytes);
+          o.last_touch = clock;
+        }
+      }
+    }
+  }
+
+  /// One epoch of the daemon's retention: advance, compact on the period.
+  TcmCompactStats retain(const RetentionPolicy& p) {
+    TcmCompactStats stats;
+    if (!p.active()) return stats;
+    ++clock;
+    if (p.compact_period == 0 || clock % p.compact_period != 0) return stats;
+    for (auto it = objects.begin(); it != objects.end();) {
+      Object& o = it->second;
+      if (clock - o.last_touch >= p.idle_epochs &&
+          !(p.decay > 0.0 && o.decay_epoch == clock)) {
+        double top = 0.0;
+        for (const auto& [t, b] : o.readers) top = std::max(top, b);
+        if (p.decay > 0.0 && p.decay * top >= 1.0) {
+          for (auto& [t, b] : o.readers) b *= p.decay;
+          o.decay_epoch = clock;
+          ++stats.decayed_objects;
+        } else {
+          stats.dropped_readers += o.readers.size();
+          it = objects.erase(it);
+          ++stats.dropped_objects;
+          continue;
+        }
+      }
+      ++it;
+    }
+    dropped += stats.dropped_objects;
+    return stats;
+  }
+
+  [[nodiscard]] SquareMatrix map(std::uint32_t threads) const {
+    SquareMatrix m(threads);
+    for (const auto& [id, o] : objects) {
+      for (auto i = o.readers.begin(); i != o.readers.end(); ++i) {
+        for (auto j = std::next(i); j != o.readers.end(); ++j) {
+          m.add_symmetric(i->first, j->first, std::min(i->second, j->second));
+        }
+      }
+    }
+    return m;
+  }
+};
 
 /// Re-appends every slice of `log` to `hub`, each on the lane of its thread
 /// (the lanes must exist): a producer replaying a logged stream.

@@ -16,20 +16,25 @@ OalArena record(ThreadId thread, NodeId node, std::vector<OalEntry> entries) {
   return interval_log(thread, std::move(entries), node);
 }
 
-void fold(TcmAccumulator& acc, std::vector<OalArena> logs) { acc.add(logs); }
+/// Cell attribution of one window over `logs` (HT-weighted).
+TcmClassAttribution attribute(const std::vector<OalArena>& logs,
+                              const std::vector<NodeId>& placement,
+                              std::uint32_t threads) {
+  ArenaScratch scratch;
+  return TcmBuilder::attribute_cells(
+      TcmBuilder::reorganize_arena(logs, /*weighted=*/true, scratch), placement,
+      threads);
+}
 
 TEST(TcmClassAttribution, SplitsPairMassByClassAgainstPlacement) {
-  TcmAccumulator acc(4);
   // Object 1 (class 7): read by threads 0 and 1 -> pair (0,1), min 100.
   // Object 2 (class 9): read by threads 0 and 2 -> pair (0,2), min 40.
-  fold(acc, {record(0, 0, {{1, 7, 100, 1}, {2, 9, 50, 1}}),
-           record(1, 0, {{1, 7, 120, 1}}),
-           record(2, 1, {{2, 9, 40, 1}})});
-
   // Threads 0,1 on node 0; thread 2 on node 1: class 7's cell is local,
   // class 9's crosses the cut.
-  const std::vector<NodeId> placement{0, 0, 1, 1};
-  const TcmClassAttribution cells = acc.attribute_cells(placement);
+  const TcmClassAttribution cells =
+      attribute({record(0, 0, {{1, 7, 100, 1}, {2, 9, 50, 1}}),
+                 record(1, 0, {{1, 7, 120, 1}}), record(2, 1, {{2, 9, 40, 1}})},
+                {0, 0, 1, 1}, 4);
   ASSERT_GE(cells.cut_bytes.size(), 10u);
   EXPECT_DOUBLE_EQ(cells.local_bytes[7], 100.0);
   EXPECT_DOUBLE_EQ(cells.cut_bytes[7], 0.0);
@@ -44,48 +49,44 @@ TEST(TcmClassAttribution, SplitsPairMassByClassAgainstPlacement) {
 }
 
 TEST(TcmClassAttribution, HonorsHorvitzThompsonWeightingAndMaxCombining) {
-  TcmAccumulator acc(2);
-  // Gap 4 entries weight as bytes x gap; a re-log at lower bytes must not
-  // shrink the cell (max-combining).
-  fold(acc, {record(0, 0, {{1, 3, 64, 4}}), record(1, 1, {{1, 3, 64, 4}})});
-  fold(acc, {record(0, 0, {{1, 3, 16, 4}})});
-  const std::vector<NodeId> placement{0, 1};
-  const TcmClassAttribution cells = acc.attribute_cells(placement);
+  // Gap 4 entries weight as bytes x gap; a re-log at lower bytes later in
+  // the window must not shrink the cell (max-combining).
+  const TcmClassAttribution cells =
+      attribute({record(0, 0, {{1, 3, 64, 4}}), record(1, 1, {{1, 3, 64, 4}}),
+                 record(0, 0, {{1, 3, 16, 4}})},
+                {0, 1}, 2);
   EXPECT_DOUBLE_EQ(cells.cut_bytes[3], 256.0);
 }
 
 TEST(TcmClassAttribution, UnplacedThreadsAndUntaggedObjectsStayOutOfTheCut) {
-  TcmAccumulator acc(3);
-  fold(acc, {record(0, 0, {{1, 2, 10, 1}}), record(2, 1, {{1, 2, 10, 1}})});
+  const std::vector<OalArena> logs = {record(0, 0, {{1, 2, 10, 1}}),
+                                      record(2, 1, {{1, 2, 10, 1}})};
   // Thread 2 is beyond the placement vector: its pairs count as local.
-  const std::vector<NodeId> short_placement{0, 0};
-  EXPECT_DOUBLE_EQ(acc.attribute_cells(short_placement).cut_bytes[2], 0.0);
-  EXPECT_DOUBLE_EQ(acc.attribute_cells(short_placement).local_bytes[2], 10.0);
+  const TcmClassAttribution cells = attribute(logs, {0, 0}, 3);
+  EXPECT_DOUBLE_EQ(cells.cut_bytes[2], 0.0);
+  EXPECT_DOUBLE_EQ(cells.local_bytes[2], 10.0);
 
-  // An untagged partial (add_readers without a class) contributes pair mass
-  // to the map but nothing to the attribution.
-  TcmAccumulator untagged(2);
-  const std::pair<ThreadId, double> readers[] = {{0, 5.0}, {1, 7.0}};
-  untagged.add_readers(42, readers);
-  const std::vector<NodeId> placement{0, 1};
-  EXPECT_TRUE(untagged.attribute_cells(placement).empty());
-  EXPECT_DOUBLE_EQ(untagged.dense().at(0, 1), 5.0);
+  // An untagged object (kInvalidClass entries) has pair mass in the map but
+  // contributes nothing to the attribution.
+  const TcmClassAttribution untagged =
+      attribute({record(0, 0, {{42, kInvalidClass, 5, 1}}),
+                 record(1, 1, {{42, kInvalidClass, 7, 1}})},
+                {0, 1}, 2);
+  EXPECT_TRUE(untagged.empty());
 }
 
-TEST(TcmClassAttribution, MergePropagatesClassTags) {
-  TcmAccumulator a(2), b(2), disjoint(2);
-  fold(a, {record(0, 0, {{1, 4, 10, 1}})});
-  fold(b, {record(1, 1, {{1, 4, 10, 1}})});
-  a.merge(b);
-  const std::vector<NodeId> placement{0, 1};
-  EXPECT_DOUBLE_EQ(a.attribute_cells(placement).cut_bytes[4], 10.0);
-
-  // A partial over a disjoint object set keeps its own tags too.
-  fold(disjoint, {record(0, 0, {{2, 6, 8, 1}}), record(1, 1, {{2, 6, 8, 1}})});
-  a.merge(disjoint);
-  const TcmClassAttribution cells = a.attribute_cells(placement);
-  EXPECT_DOUBLE_EQ(cells.cut_bytes[4], 10.0);
-  EXPECT_DOUBLE_EQ(cells.cut_bytes[6], 8.0);
+TEST(TcmClassAttribution, ReadersPastTheMapDimensionAreSkipped) {
+  // Thread 5 shares object 1 with thread 0 but lies past the 2-thread map:
+  // its pairs are skipped, exactly as the map's accrual skips them.
+  const TcmClassAttribution cells =
+      attribute({record(0, 0, {{1, 4, 10, 1}}), record(5, 1, {{1, 4, 10, 1}}),
+                 record(1, 1, {{1, 4, 8, 1}})},
+                {0, 1}, 2);
+  ASSERT_EQ(cells.thread_mass.size(), 5u);
+  EXPECT_EQ(cells.thread_mass[4].size(), 2u);
+  EXPECT_DOUBLE_EQ(cells.cut_bytes[4], 8.0);
+  EXPECT_DOUBLE_EQ(cells.thread_mass[4][0], 8.0);
+  EXPECT_DOUBLE_EQ(cells.thread_mass[4][1], 8.0);
 }
 
 TEST(BalancerFeedback, CutShareIsTheCoreInfluenceSignal) {

@@ -138,7 +138,7 @@ TEST(DistributedTcm, MatchesCentralizedBuildersOnSmallInput) {
   rs.push_back(rec(0, 0, {{1, 0, 64, 2}, {2, 0, 32, 1}}));
   rs.push_back(rec(1, 1, {{1, 0, 64, 2}}));
   rs.push_back(rec(2, 2, {{2, 0, 32, 1}, {1, 0, 16, 4}}));
-  const SquareMatrix reference = TcmBuilder::build_reference(rs, 3, true);
+  const SquareMatrix reference = build_reference(rs, 3, true);
   const SquareMatrix fold = fold_map(rs, 3, true);
   const SquareMatrix dist = reduce(rs, 3, true);
   ASSERT_GT(reference.total(), 0.0);
@@ -156,7 +156,7 @@ class DistributedEquivalenceSweep
 TEST_P(DistributedEquivalenceSweep, RandomizedEquivalence) {
   const auto [seed, workers] = GetParam();
   const auto rs = random_logs(seed, 16, 8, 200, 40, 512);
-  const SquareMatrix reference = TcmBuilder::build_reference(rs, 16, true);
+  const SquareMatrix reference = build_reference(rs, 16, true);
   const SquareMatrix dist = reduce(rs, 16, true, workers);
   ASSERT_GT(reference.total(), 0.0);
   EXPECT_LT(absolute_error(dist, reference), 1e-9) << "seed=" << seed;
@@ -249,8 +249,7 @@ TEST(DistributedTcm, LocalReduceMatchesPerNodeOracleAndWire) {
     EXPECT_EQ(csr[i].wire_bytes(), expected_wire_bytes(rs, {node}))
         << "node " << node;
     // Same per-node map as the oracle over that node's slices alone.
-    const SquareMatrix mo =
-        TcmBuilder::build_reference(logs_of_node(rs, node), 8, true);
+    const SquareMatrix mo = build_reference(logs_of_node(rs, node), 8, true);
     const SquareMatrix mc =
         DistributedTcmReducer::accrue_parallel(csr[i].arena, 8, 1);
     EXPECT_LT(absolute_error(mc, mo), 1e-9) << "node " << node;
@@ -286,12 +285,12 @@ TEST(DistributedTcm, TreeReduceMatchesOracleResultAndTraffic) {
   // The merged partial is the whole window's map.
   const SquareMatrix mc =
       DistributedTcmReducer::accrue_parallel(merged.arena, 16, 4);
-  EXPECT_LT(absolute_error(mc, TcmBuilder::build_reference(rs, 16, true)), 1e-9);
+  EXPECT_LT(absolute_error(mc, build_reference(rs, 16, true)), 1e-9);
 }
 
 TEST(DistributedTcm, ArenaBuildMatchesReferenceAcrossSplits) {
   const auto rs = random_logs(21, 12, 6, 120, 20, 200);
-  const SquareMatrix reference = TcmBuilder::build_reference(rs, 12, true);
+  const SquareMatrix reference = build_reference(rs, 12, true);
   // Tight 32-entry arenas force interval splits and multi-node arenas; the
   // slice-level bucketing must still reproduce the unsplit result.
   const std::vector<OalArena> arenas = repack(rs, 32);
@@ -310,7 +309,7 @@ TEST(DistributedTcm, MigratedThreadLogsMergeAcrossNodes) {
   rs.push_back(rec(0, 0, {{7, 0, 100, 1}}));
   rs.push_back(rec(0, 1, {{7, 0, 80, 1}}));  // after migration, re-logged
   rs.push_back(rec(1, 2, {{7, 0, 90, 1}}));
-  const SquareMatrix reference = TcmBuilder::build_reference(rs, 2, false);
+  const SquareMatrix reference = build_reference(rs, 2, false);
   const SquareMatrix dist = reduce(rs, 2, false);
   EXPECT_DOUBLE_EQ(reference.at(0, 1), 90.0);  // min(max(100,80), 90)
   EXPECT_DOUBLE_EQ(dist.at(0, 1), 90.0);

@@ -346,7 +346,7 @@ TEST(Timeline, GovernedRunEmitsOneValidLinePerEpoch) {
       djvm.gos().clock(t).advance(objs.size() * 1000);
     }
     djvm.barrier_all();
-    djvm.run_governed_epoch();
+    djvm.run_epoch();
   }
   djvm.snapshot_writer()->flush();
   EXPECT_EQ(djvm.snapshot_writer()->appended(),

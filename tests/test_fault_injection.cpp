@@ -290,8 +290,7 @@ TEST(DegradedReduce, DeadNodePartialIsSkippedAndReported) {
   EXPECT_EQ(map.size(), 3u);
   // Incomplete, not wrong: exactly the survivors' map.
   const std::vector<OalArena> survivors(logs.begin(), logs.begin() + 2);
-  const SquareMatrix survivor_ref =
-      TcmBuilder::build_reference(survivors, 3, false);
+  const SquareMatrix survivor_ref = build_reference(survivors, 3, false);
   ASSERT_GT(survivor_ref.total(), 0.0);
   EXPECT_LT(absolute_error(map, survivor_ref), 1e-9);
 
@@ -301,8 +300,7 @@ TEST(DegradedReduce, DeadNodePartialIsSkippedAndReported) {
   const SquareMatrix full =
       DistributedTcmReducer::build(ptrs, 3, false, 1, &clean, &lost2);
   EXPECT_TRUE(lost2.empty());
-  EXPECT_LT(absolute_error(full, TcmBuilder::build_reference(logs, 3, false)),
-            1e-9);
+  EXPECT_LT(absolute_error(full, build_reference(logs, 3, false)), 1e-9);
 }
 
 // --- degraded mode end to end ------------------------------------------------
@@ -337,7 +335,7 @@ TEST_F(DegradedModeTest, FailNodeQuarantinesRehomesAndFailsOverThreads) {
     objs.push_back(djvm.gos().alloc(k, static_cast<NodeId>(i % cfg.nodes)));
   }
   drive_epoch(djvm, objs);
-  (void)djvm.run_governed_epoch();
+  (void)djvm.run_epoch();
 
   djvm.fail_node(1);
 
@@ -355,7 +353,7 @@ TEST_F(DegradedModeTest, FailNodeQuarantinesRehomesAndFailsOverThreads) {
 
   // The next epoch reports itself degraded and names the lost node.
   drive_epoch(djvm, objs);
-  const EpochResult res = djvm.run_governed_epoch();
+  const EpochResult res = djvm.run_epoch();
   EXPECT_TRUE(res.degraded);
   ASSERT_EQ(res.lost_nodes.size(), 1u);
   EXPECT_EQ(res.lost_nodes[0], 1);
@@ -383,7 +381,7 @@ TEST_F(DegradedModeTest, TimedKillFromThePlanFiresDuringTheRun) {
   bool saw_degraded = false;
   for (int e = 0; e < 4; ++e) {
     drive_epoch(djvm, objs);
-    const EpochResult res = djvm.run_governed_epoch();
+    const EpochResult res = djvm.run_epoch();
     if (e < 2) EXPECT_FALSE(res.degraded) << "epoch " << e;
     saw_degraded |= res.degraded;
   }
@@ -404,10 +402,10 @@ TEST_F(DegradedModeTest, QuarantinedNodeIsExcludedFromOffenderScoring) {
     objs.push_back(djvm.gos().alloc(k, static_cast<NodeId>(i % cfg.nodes)));
   }
   drive_epoch(djvm, objs);
-  (void)djvm.run_governed_epoch();
+  (void)djvm.run_epoch();
   djvm.fail_node(1);
   drive_epoch(djvm, objs);
-  const EpochResult res = djvm.run_governed_epoch();
+  const EpochResult res = djvm.run_epoch();
   if (res.offender.has_value()) EXPECT_NE(*res.offender, 1);
   EXPECT_EQ(djvm.governor().quarantined_nodes(),
             std::vector<NodeId>{1});

@@ -240,7 +240,7 @@ TEST_F(ExecutionStageTest, ExecutesPlannedMigrationAndCollocatesPartners) {
   bool saw_executed = false;
   for (int e = 0; e < 6 && !saw_executed; ++e) {
     drive_epoch(djvm, pair_objs);
-    const EpochResult res = djvm.run_governed_epoch();
+    const EpochResult res = djvm.run_epoch();
     for (const auto& m : res.migrations) saw_executed |= m.executed;
   }
   ASSERT_TRUE(saw_executed) << "no migration executed in 6 epochs";
@@ -268,7 +268,7 @@ TEST_F(ExecutionStageTest, PerEpochCapDefersExtraMovesThenDrains) {
   std::size_t max_executed_per_epoch = 0;
   for (int e = 0; e < 10; ++e) {
     drive_epoch(djvm, pair_objs);
-    const EpochResult res = djvm.run_governed_epoch();
+    const EpochResult res = djvm.run_epoch();
     std::size_t executed = 0;
     for (const auto& m : res.migrations) executed += m.executed ? 1u : 0u;
     max_executed_per_epoch = std::max(max_executed_per_epoch, executed);
@@ -293,7 +293,7 @@ TEST_F(ExecutionStageTest, DryRunLogsButMovesNothing) {
   bool saw_logged = false;
   for (int e = 0; e < 6; ++e) {
     drive_epoch(djvm, pair_objs);
-    const EpochResult res = djvm.run_governed_epoch();
+    const EpochResult res = djvm.run_epoch();
     for (const auto& m : res.migrations) {
       saw_logged = true;
       EXPECT_FALSE(m.executed);
@@ -317,7 +317,7 @@ TEST_F(ExecutionStageTest, ExecutionOffByDefault) {
   for (int i = 0; i < 64; ++i) pair_objs[0].push_back(djvm.gos().alloc(k, 0));
   for (int e = 0; e < 3; ++e) {
     drive_epoch(djvm, pair_objs);
-    const EpochResult res = djvm.run_governed_epoch();
+    const EpochResult res = djvm.run_epoch();
     EXPECT_TRUE(res.migrations.empty());
   }
   EXPECT_EQ(djvm.migration().migrations_done(), 0u);

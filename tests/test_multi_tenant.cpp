@@ -1,7 +1,6 @@
 // Multi-tenant serving: the request-serving workload's determinism and
-// diurnal schedule, the TenantContext facade over Djvm, the deprecated
-// run_governed_epoch() wrapper's exact equivalence with a default
-// EpochRequest, and the ClusterCoordinator loop — shared meter namespacing,
+// diurnal schedule, the TenantContext facade over Djvm, and the
+// ClusterCoordinator loop — shared meter namespacing,
 // per-epoch arbitration with leases pushed back into tenant governors,
 // borrow/reclaim across a traffic flip, and the degraded-cannot-borrow rule
 // riding the fault-injection substrate.
@@ -108,27 +107,6 @@ TEST(TenantApi, ContextExposesIdentityAndAdoptsLeases) {
   ASSERT_TRUE(ctx.lease().has_value());
   // The grant is live in the governor, without a controller reset.
   EXPECT_DOUBLE_EQ(vm.governor().config().overhead_budget, 0.013);
-}
-
-TEST(TenantApi, DeprecatedWrapperMatchesDefaultRequestExactly) {
-  // The entire pre-tenant surface must reproduce bit-identically through
-  // the new entry point: same config, same workload, one VM driven by the
-  // deprecated run_governed_epoch(), the other by run_epoch(EpochRequest{}).
-  EpochResult results[2];
-  for (int side = 0; side < 2; ++side) {
-    Djvm vm(tenant_config(0));
-    vm.spawn_threads_round_robin(vm.config().threads);
-    RequestServingApp app(small_params());
-    app.build(vm);
-    app.serve_epoch(vm);
-    results[side] = side == 0 ? vm.run_governed_epoch()
-                              : vm.run_epoch(EpochRequest{});
-  }
-  EXPECT_EQ(results[0].tcm, results[1].tcm);
-  EXPECT_EQ(results[0].intervals, results[1].intervals);
-  EXPECT_EQ(results[0].entries, results[1].entries);
-  EXPECT_DOUBLE_EQ(results[0].overhead_fraction, results[1].overhead_fraction);
-  EXPECT_EQ(results[0].sample.tenant, results[1].sample.tenant);
 }
 
 TEST(ClusterCoordinator, SharedMeterKeepsTenantWindowsApart) {

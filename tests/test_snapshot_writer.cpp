@@ -220,7 +220,7 @@ TEST(DjvmSnapshotHook, GovernedEpochsSnapshotEveryEpoch) {
       for (ObjectId o : objs) djvm.read(t, o);
     }
     djvm.barrier_all();
-    djvm.run_governed_epoch();
+    djvm.run_epoch();
   }
   djvm.snapshot_writer()->flush();
   EXPECT_EQ(djvm.snapshot_writer()->submitted(),

@@ -18,7 +18,7 @@ OalArena rec(ThreadId t, IntervalId i, std::vector<OalEntry> entries) {
 SquareMatrix build(std::span<const OalArena> rs, std::uint32_t threads,
                    bool weighted = true) {
   const SquareMatrix fold = fold_map(rs, threads, weighted);
-  EXPECT_EQ(fold, TcmBuilder::build_reference(rs, threads, weighted));
+  EXPECT_EQ(fold, build_reference(rs, threads, weighted));
   return fold;
 }
 

@@ -1,10 +1,13 @@
-// Incremental sparse TCM pipeline: equivalence with the dense-from-scratch
-// reference over randomized arena streams (arbitrary ingest splits,
-// mid-stream resets), arena reorganization, accumulator merges, and the
-// daemon's fold-at-ingest path.
+// The CSR TCM pipeline: equivalence with the dense-from-scratch oracle over
+// randomized arena streams (arbitrary window splits, mid-stream clears),
+// arena reorganization, the whole-run store's in-place merge, the daemon's
+// epoch-close window build, and a seeded property sweep over the whole
+// pipeline (retention, out-of-range threads and classes, spill ids).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <string>
 
 #include "common/rng.hpp"
 #include "profiling/accuracy.hpp"
@@ -101,7 +104,7 @@ TEST(ReaderArena, SliceReorganizeMatchesArenaReorganize) {
                                        true, scratch),
           8)
           .densify();
-  const SquareMatrix reference = TcmBuilder::build_reference(rs, 8, true);
+  const SquareMatrix reference = build_reference(rs, 8, true);
   expect_maps_equal(from_arenas, reference, "arena reorganize");
   expect_maps_equal(from_slices, reference, "slice reorganize");
 }
@@ -113,7 +116,7 @@ TEST(ReaderArena, SparseObjectIdsSpillSafely) {
   rs.push_back(rec(0, 0, {{huge, 0, 100, 1}, {3, 0, 50, 1}}));
   rs.push_back(rec(1, 1, {{huge, 0, 80, 1}}));
   const SquareMatrix fast = fold_map(rs, 2, false);
-  const SquareMatrix ref = TcmBuilder::build_reference(rs, 2, false);
+  const SquareMatrix ref = build_reference(rs, 2, false);
   expect_maps_equal(fast, ref, "sparse ids");
   EXPECT_DOUBLE_EQ(fast.at(0, 1), 80.0);
 }
@@ -123,7 +126,7 @@ TEST(ReaderArena, SparseObjectIdsSpillSafely) {
 TEST(TcmEquivalence, FastBuildMatchesReferenceRandomized) {
   for (const std::uint64_t seed : {1ull, 2ull, 42ull, 999ull}) {
     const auto rs = random_stream(seed, 16, 512, 200, 30);
-    const SquareMatrix ref = TcmBuilder::build_reference(rs, 16, true);
+    const SquareMatrix ref = build_reference(rs, 16, true);
     const SquareMatrix fast = fold_map(rs, 16, true);
     ASSERT_GT(ref.total(), 0.0);
     expect_maps_equal(fast, ref, "one-shot build");
@@ -136,84 +139,113 @@ TEST(TcmEquivalence, UnweightedAndThreadsOutOfRange) {
   rs.push_back(rec(9, 1, {{7, 0, 100, 5}}));  // beyond the 2-thread matrix
   rs.push_back(rec(1, 2, {{7, 0, 60, 5}}));
   expect_maps_equal(fold_map(rs, 2, false),
-                    TcmBuilder::build_reference(rs, 2, false), "unweighted");
+                    build_reference(rs, 2, false), "unweighted");
   expect_maps_equal(fold_map(rs, 2, true),
-                    TcmBuilder::build_reference(rs, 2, true), "weighted");
+                    build_reference(rs, 2, true), "weighted");
 }
 
-// --- incremental accumulator --------------------------------------------------
+// --- whole-run store ---------------------------------------------------------
+
+/// Absorbs `logs` into `store` one window per `take()` arenas.
+template <typename Take>
+void absorb_split(TcmStore& store, std::span<const OalArena> logs, Take take) {
+  ArenaScratch scratch;
+  std::size_t pos = 0;
+  while (pos < logs.size()) {
+    const std::size_t n = std::min<std::size_t>(take(), logs.size() - pos);
+    absorb_logs(store, logs.subspan(pos, n), scratch);
+    pos += n;
+  }
+}
 
 class IncrementalSweep : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(IncrementalSweep, SplitSubmissionsMatchFromScratch) {
   const std::uint64_t seed = GetParam();
   const auto rs = random_stream(seed, 12, 256, 160, 24);
-  const SquareMatrix ref = TcmBuilder::build_reference(rs, 12, true);
+  const SquareMatrix ref = build_reference(rs, 12, true);
 
-  // Fold the same stream in every split the seed dictates: 1 batch, uneven
-  // batches, one interval at a time.
+  // Merge the same stream in every split the seed dictates: 1 window,
+  // uneven windows, one interval at a time.
   SplitMix64 rng(seed ^ 0xABCD);
   for (int split = 0; split < 3; ++split) {
-    TcmAccumulator acc(12, /*weighted=*/true);
-    std::size_t pos = 0;
-    while (pos < rs.size()) {
-      std::size_t take = split == 0   ? rs.size()
-                         : split == 1 ? 1 + rng.next_below(40)
-                                      : 1;
-      take = std::min(take, rs.size() - pos);
-      acc.add(std::span<const OalArena>(rs).subspan(pos, take));
-      pos += take;
-    }
-    expect_maps_equal(acc.dense(), ref, "split fold");
+    TcmStore store(12);
+    absorb_split(store, rs, [&]() -> std::size_t {
+      return split == 0 ? rs.size() : split == 1 ? 1 + rng.next_below(40) : 1;
+    });
+    expect_maps_equal(store_map(store), ref, "split merge");
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, IncrementalSweep,
                          ::testing::Values(1, 7, 42, 1234, 77777));
 
-TEST(TcmAccumulator, MidStreamResetDropsHistory) {
+TEST(TcmStore, ClearDropsHistory) {
   const auto a = random_stream(5, 8, 128, 60, 16);
   const auto b = random_stream(6, 8, 128, 60, 16);
-  TcmAccumulator acc(8);
-  acc.add(a);
-  ASSERT_GT(acc.objects_tracked(), 0u);
-  acc.reset();
-  EXPECT_EQ(acc.objects_tracked(), 0u);
-  EXPECT_EQ(acc.reader_entries(), 0u);
-  acc.add(b);
-  expect_maps_equal(acc.dense(), TcmBuilder::build_reference(b, 8, true),
-                    "post-reset fold");
+  TcmStore store(8);
+  ArenaScratch scratch;
+  absorb_logs(store, a, scratch);
+  ASSERT_GT(store.object_count(), 0u);
+  store.clear();
+  EXPECT_EQ(store.object_count(), 0u);
+  EXPECT_EQ(store.reader_entries(), 0u);
+  absorb_logs(store, b, scratch);
+  expect_maps_equal(store_map(store), build_reference(b, 8, true),
+                    "post-clear merge");
 }
 
-TEST(TcmAccumulator, MergeEqualsCombinedStream) {
+TEST(TcmStore, TwoWindowsEqualCombinedStream) {
   const auto a = random_stream(11, 10, 200, 80, 20);
   const auto b = random_stream(12, 10, 200, 80, 20);
-  TcmAccumulator acc_a(10), acc_b(10);
-  acc_a.add(a);
-  acc_b.add(b);
-  acc_a.merge(acc_b);
+  TcmStore store(10);
+  ArenaScratch scratch;
+  absorb_logs(store, a, scratch);
+  absorb_logs(store, b, scratch);
 
   std::vector<OalArena> both = a;
   both.insert(both.end(), b.begin(), b.end());
-  expect_maps_equal(acc_a.dense(), TcmBuilder::build_reference(both, 10, true),
-                    "merged partials");
+  expect_maps_equal(store_map(store), build_reference(both, 10, true),
+                    "two windows");
 }
 
-TEST(TcmAccumulator, MaxCombiningNeverDoubleCounts) {
+TEST(TcmStore, MaxCombiningNeverDoubleCounts) {
   // The same (object, thread) re-logged with rising, falling, and equal
   // byte values must leave pair cells at min(max_i, max_j), exactly once.
-  TcmAccumulator acc(2);
+  TcmStore store(2);
+  ArenaScratch scratch;
   std::vector<OalArena> rs;
   rs.push_back(rec(0, 0, {{7, 0, 50, 1}}));
   rs.push_back(rec(1, 1, {{7, 0, 80, 1}}));
-  acc.add(rs);
-  EXPECT_DOUBLE_EQ(acc.dense().at(0, 1), 50.0);
+  absorb_logs(store, rs, scratch);
+  EXPECT_DOUBLE_EQ(store_map(store).at(0, 1), 50.0);
   const OalArena more = rec(0, 2, {{7, 0, 70, 1}});  // raises thread 0's max
-  acc.add({&more, 1});
-  EXPECT_DOUBLE_EQ(acc.dense().at(0, 1), 70.0);
+  absorb_logs(store, {&more, 1}, scratch);
+  EXPECT_DOUBLE_EQ(store_map(store).at(0, 1), 70.0);
   const OalArena again = rec(0, 3, {{7, 0, 30, 1}});  // below the max: no change
-  acc.add({&again, 1});
-  EXPECT_DOUBLE_EQ(acc.dense().at(0, 1), 70.0);
+  absorb_logs(store, {&again, 1}, scratch);
+  EXPECT_DOUBLE_EQ(store_map(store).at(0, 1), 70.0);
+  EXPECT_EQ(store.reader_entries(), 2u);
+}
+
+TEST(TcmStore, KeepsIdsSortedAcrossInterleavedWindows) {
+  // Windows that land below, between and above the held ids, plus spill ids
+  // past the direct-index cap, all merge into one strictly increasing run.
+  const ObjectId spill = ObjectSlotMap::kDirectCap + 5;
+  TcmStore store(3);
+  ArenaScratch scratch;
+  const std::vector<std::vector<ObjectId>> windows = {
+      {50, 10, 30}, {5, 40, spill}, {60, 20, 10, 1}, {spill + 1, 0, 35}};
+  for (const auto& ids : windows) {
+    std::vector<OalEntry> entries;
+    for (const ObjectId id : ids) entries.push_back({id, 0, 16, 1});
+    const OalArena log = rec(static_cast<ThreadId>(ids.size() % 3), 0, entries);
+    absorb_logs(store, {&log, 1}, scratch);
+  }
+  const auto& ids = store.csr().objects;
+  const std::vector<ObjectId> expected = {0,  1,  5,  10, 20,    30,
+                                          35, 40, 50, 60, spill, spill + 1};
+  EXPECT_EQ(ids, expected);
 }
 
 // --- UpperTriangle ------------------------------------------------------------
@@ -240,7 +272,7 @@ TEST(UpperTriangle, IndexingAndDensify) {
   EXPECT_EQ(ut.cell_count(), 6u);
 }
 
-// --- daemon fold-at-ingest ----------------------------------------------------
+// --- daemon window build -----------------------------------------------------
 
 TEST(DaemonIncremental, EpochTcmMatchesReferenceAcrossIngestSplits) {
   KlassRegistry reg;
@@ -251,7 +283,7 @@ TEST(DaemonIncremental, EpochTcmMatchesReferenceAcrossIngestSplits) {
   CorrelationDaemon daemon(plan, 12);
 
   const auto rs = random_stream(21, 12, 256, 120, 24);
-  const SquareMatrix ref = TcmBuilder::build_reference(rs, 12, true);
+  const SquareMatrix ref = build_reference(rs, 12, true);
 
   // Deliver in three uneven ingest batches within one epoch.
   const std::size_t cut1 = rs.size() / 5;
@@ -267,7 +299,7 @@ TEST(DaemonIncremental, EpochTcmMatchesReferenceAcrossIngestSplits) {
   const auto rs2 = random_stream(22, 12, 256, 60, 24);
   feeder.feed(daemon, rs2);
   const EpochResult e2 = daemon.run_epoch();
-  expect_maps_equal(e2.tcm, TcmBuilder::build_reference(rs2, 12, true),
+  expect_maps_equal(e2.tcm, build_reference(rs2, 12, true),
                     "second window");
 }
 
@@ -282,23 +314,23 @@ TEST(DaemonIncremental, BuildFullIsIncrementalAcrossCalls) {
   const auto a = random_stream(31, 8, 128, 50, 16);
   const auto b = random_stream(32, 8, 128, 50, 16);
   feeder.feed(daemon, a);
-  expect_maps_equal(daemon.build_full(), TcmBuilder::build_reference(a, 8, true),
+  expect_maps_equal(daemon.build_full(), build_reference(a, 8, true),
                     "first build_full");
   feeder.feed(daemon, b);
   std::vector<OalArena> both = a;
   both.insert(both.end(), b.begin(), b.end());
   expect_maps_equal(daemon.build_full(),
-                    TcmBuilder::build_reference(both, 8, true),
-                    "second build_full folds only the delta");
-  // A clear() discards the whole-run accumulator too.
+                    build_reference(both, 8, true),
+                    "second build_full merges only the delta");
+  // A clear() discards the whole-run store too.
   daemon.clear();
   feeder.feed(daemon, b);
-  expect_maps_equal(daemon.build_full(), TcmBuilder::build_reference(b, 8, true),
+  expect_maps_equal(daemon.build_full(), build_reference(b, 8, true),
                     "build_full after clear");
 }
 
 TEST(DaemonIncremental, BuildFullConsumesTheWindow) {
-  // Pre-incremental semantics: build_full drains the pending window, so an
+  // build_full drains the pending window, so an
   // epoch run right after starts from nothing — the governor must not see a
   // map whose entries were already reported by build_full (zero entries
   // against a full map would corrupt its benefit/cost inputs).
@@ -320,9 +352,167 @@ TEST(DaemonIncremental, BuildFullConsumesTheWindow) {
   const auto b = random_stream(42, 8, 128, 40, 16);
   feeder.feed(daemon, b);
   expect_maps_equal(daemon.run_epoch().tcm,
-                    TcmBuilder::build_reference(b, 8, true),
+                    build_reference(b, 8, true),
                     "window after a build_full");
 }
+
+// --- property sweep over the whole pipeline -----------------------------------
+
+/// The store must hold exactly the oracle's objects, in strictly increasing
+/// id order, with one reader per thread per object and the oracle's bytes.
+void expect_store_matches(const TcmStore& store, const StoreOracle& oracle) {
+  const ReaderArena& csr = store.csr();
+  ASSERT_EQ(csr.object_count(), oracle.objects.size());
+  ASSERT_EQ(csr.offsets.size(), csr.object_count() + 1);
+  auto it = oracle.objects.begin();
+  for (std::size_t k = 0; k < csr.object_count(); ++k, ++it) {
+    if (k > 0) {
+      ASSERT_LT(csr.objects[k - 1], csr.objects[k]);
+    }
+    ASSERT_EQ(csr.objects[k], it->first);
+    const auto readers = csr.readers_of(k);
+    ASSERT_EQ(readers.size(), it->second.readers.size())
+        << "object " << it->first;
+    for (const auto& [t, bytes] : readers) {
+      const auto want = it->second.readers.find(t);
+      ASSERT_NE(want, it->second.readers.end()) << "object " << it->first;
+      EXPECT_NEAR(bytes, want->second, 1e-9);
+    }
+  }
+}
+
+/// Dense per-class recomputation of a window's cell attribution: class c's
+/// map is the oracle over class c's entries alone, split by placement.
+void expect_cells_match(const TcmClassAttribution& cells,
+                        std::span<const OalArena> logs, std::uint32_t threads,
+                        std::size_t classes, std::span<const NodeId> placement) {
+  EXPECT_LE(cells.cut_bytes.size(), classes);  // classes past the registry untag
+  const auto at = [](const std::vector<double>& v, std::size_t i) {
+    return i < v.size() ? v[i] : 0.0;
+  };
+  for (std::size_t c = 0; c < classes; ++c) {
+    std::vector<OalArena> of_class;
+    for (const OalArena& log : logs) {
+      for (const ArenaInterval& iv : log.intervals) {
+        std::vector<OalEntry> entries;
+        for (std::uint32_t i = iv.begin; i < iv.end; ++i) {
+          if (log.entries[i].klass == c) entries.push_back(log.entries[i]);
+        }
+        of_class.push_back(interval_log(iv.thread, std::move(entries)));
+      }
+    }
+    const SquareMatrix m = build_reference(of_class, threads);
+    double cut = 0.0, local = 0.0;
+    std::vector<double> mass(threads, 0.0);
+    for (std::size_t i = 0; i < threads; ++i) {
+      for (std::size_t j = i + 1; j < threads; ++j) {
+        const bool crosses = i < placement.size() && j < placement.size() &&
+                             placement[i] != placement[j];
+        (crosses ? cut : local) += m.at(i, j);
+        mass[i] += m.at(i, j);
+        mass[j] += m.at(i, j);
+      }
+    }
+    EXPECT_NEAR(at(cells.cut_bytes, c), cut, 1e-9) << "class " << c;
+    EXPECT_NEAR(at(cells.local_bytes, c), local, 1e-9) << "class " << c;
+    for (std::size_t t = 0; t < threads; ++t) {
+      const double got =
+          c < cells.thread_mass.size() ? at(cells.thread_mass[c], t) : 0.0;
+      EXPECT_NEAR(got, mass[t], 1e-9) << "class " << c << " thread " << t;
+    }
+  }
+}
+
+class PipelineProperty : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(PipelineProperty, WindowsStoreAndCellsMatchOracles) {
+  SplitMix64 rng(GetParam());
+  const auto threads = static_cast<std::uint32_t>(3 + rng.next_below(10));
+  const auto classes = static_cast<std::size_t>(1 + rng.next_below(4));
+  RetentionPolicy policy;
+  policy.idle_epochs = static_cast<std::uint32_t>(1 + rng.next_below(5));
+  policy.decay = std::array<double, 3>{0.0, 0.5, 0.3}[rng.next_below(3)];
+  policy.compact_period = static_cast<std::uint32_t>(1 + rng.next_below(4));
+  SCOPED_TRACE(testing::Message()
+               << "threads " << threads << " classes " << classes << " idle "
+               << policy.idle_epochs << " decay " << policy.decay << " period "
+               << policy.compact_period);
+
+  KlassRegistry reg;
+  Heap heap(reg, 1);
+  SamplingPlan plan(heap);
+  for (std::size_t c = 0; c < classes; ++c) {
+    reg.register_class("C" + std::to_string(c), 64);
+  }
+  IngestKnobs knobs;
+  knobs.arena_entries = static_cast<std::uint32_t>(2 + rng.next_below(40));
+  knobs.ring_depth = static_cast<std::uint32_t>(2 + rng.next_below(4));
+  ArenaFeeder feeder(knobs);
+  CorrelationDaemon daemon(plan, threads);
+  daemon.set_retention(policy);
+  StoreOracle oracle;
+
+  const int epochs = 6 + static_cast<int>(rng.next_below(8));
+  for (int epoch = 0; epoch < epochs; ++epoch) {
+    // Object ids drift with the epoch so older ones go idle; a hot prefix,
+    // spill ids past the direct-index cap, and far-sparse ids ride along.
+    // Threads reach past the map dimension; a class is a function of the
+    // object and reaches past the registry.
+    std::vector<OalArena> stream;
+    const int intervals = 5 + static_cast<int>(rng.next_below(30));
+    for (int i = 0; i < intervals; ++i) {
+      std::vector<OalEntry> entries;
+      const int count = 1 + static_cast<int>(rng.next_below(12));
+      for (int e = 0; e < count; ++e) {
+        const std::uint64_t pick = rng.next_below(10);
+        const ObjectId obj =
+            pick < 6   ? static_cast<ObjectId>(epoch) * 30 + rng.next_below(90)
+            : pick < 8 ? rng.next_below(16)
+            : pick < 9 ? ObjectSlotMap::kDirectCap + rng.next_below(40)
+                       : (ObjectId{1} << 40) + rng.next_below(4);
+        const ClassId klass = obj % 11 == 3
+                                  ? kInvalidClass
+                                  : static_cast<ClassId>(obj % (classes + 2));
+        entries.push_back({obj, klass,
+                           static_cast<std::uint32_t>(8 + rng.next_below(57)),
+                           static_cast<std::uint32_t>(1 + rng.next_below(8))});
+      }
+      stream.push_back(rec(static_cast<ThreadId>(rng.next_below(threads + 3)),
+                           static_cast<IntervalId>(epoch * 100 + i),
+                           std::move(entries)));
+    }
+
+    // Random arena geometry, fed in random ingest batches.
+    const auto packed = repack(
+        stream, static_cast<std::uint32_t>(1 + rng.next_below(20)));
+    std::size_t pos = 0;
+    while (pos < packed.size()) {
+      const std::size_t take = std::min<std::size_t>(
+          packed.size() - pos, 1 + rng.next_below(packed.size()));
+      const auto first = packed.begin() + static_cast<std::ptrdiff_t>(pos);
+      feeder.feed(daemon, {first, first + static_cast<std::ptrdiff_t>(take)});
+      pos += take;
+    }
+    std::vector<NodeId> placement(threads - rng.next_below(2));
+    for (NodeId& n : placement) n = static_cast<NodeId>(rng.next_below(3));
+    daemon.set_influence_placement(placement);
+
+    const EpochResult e = daemon.run_epoch();
+    expect_maps_equal(e.tcm, build_reference(stream, threads), "epoch window");
+    expect_cells_match(e.cells, stream, threads, classes, placement);
+
+    oracle.absorb(stream, threads);
+    oracle.retain(policy);
+    expect_store_matches(daemon.store(), oracle);
+    EXPECT_EQ(e.retained_objects, oracle.objects.size());
+    EXPECT_EQ(e.dropped_objects, oracle.dropped);
+  }
+  expect_maps_equal(daemon.build_full(), oracle.map(threads), "build_full");
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, PipelineProperty,
+                         ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34, 55, 89,
+                                           144, 233));
 
 }  // namespace
 }  // namespace djvm

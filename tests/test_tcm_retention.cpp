@@ -1,9 +1,10 @@
-// TcmAccumulator long-haul retention: drop/decay correctness against the
+// TcmStore long-haul retention: drop/decay correctness against the
 // reference pipeline, idempotent compaction, merge-after-compact, and the
-// free-list keeping pool growth bounded under object churn.
+// store's capacity plateauing under object churn.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 
 #include "common/rng.hpp"
 #include "profiling/distributed_tcm.hpp"
@@ -52,53 +53,50 @@ void expect_maps_near(const SquareMatrix& a, const SquareMatrix& b,
 }
 
 TEST(TcmRetention, DropStaleMatchesReferenceOverLiveRecords) {
-  // Stale objects [0, 64) folded only at epoch 0; live objects [1000, 1064)
-  // re-folded every epoch.  After the stale set ages out, the accumulator
-  // must equal a from-scratch reference build over the live records alone.
+  // Stale objects [0, 64) merged only at epoch 0; live objects [1000, 1064)
+  // re-merged every epoch.  After the stale set ages out, the store must
+  // equal a from-scratch reference build over the live records alone.
   const auto stale = stream_over(/*seed=*/1, /*base=*/0, /*span=*/64,
                                  /*intervals=*/40, /*entries=*/12);
   const auto live = stream_over(/*seed=*/2, /*base=*/1000, /*span=*/64,
                                 /*intervals=*/40, /*entries=*/12);
 
-  TcmAccumulator acc(kThreads);
-  acc.add(stale);
-  acc.add(live);
+  TcmStore store(kThreads);
+  ArenaScratch scratch;
+  absorb_logs(store, stale, scratch);
+  absorb_logs(store, live, scratch);
   for (int epoch = 0; epoch < 4; ++epoch) {
-    acc.advance_epoch();
-    acc.add(live);  // identical records: max-combining leaves values as-is
+    store.advance_epoch();
+    absorb_logs(store, live, scratch);  // identical records: values as-is
   }
-  const TcmCompactStats stats = acc.compact(/*idle_epochs=*/3, /*decay=*/0.0);
+  const TcmCompactStats stats = store.compact(/*idle_epochs=*/3, /*decay=*/0.0);
   EXPECT_GT(stats.dropped_objects, 0u);
   EXPECT_EQ(stats.decayed_objects, 0u);
-  EXPECT_GT(stats.freed_readers, 0u);
+  EXPECT_GT(stats.dropped_readers, 0u);
 
-  expect_maps_near(acc.dense(),
-                   TcmBuilder::build_reference(live, kThreads),
+  expect_maps_near(store_map(store), build_reference(live, kThreads),
                    "post-drop map vs live-records reference");
   // Every stale object evicted, every live object kept.
-  std::size_t live_objects = 0;
-  {
-    TcmAccumulator probe(kThreads);
-    probe.add(live);
-    live_objects = probe.objects_tracked();
-  }
-  EXPECT_EQ(acc.objects_tracked(), live_objects);
+  TcmStore probe(kThreads);
+  absorb_logs(probe, live, scratch);
+  EXPECT_EQ(store.csr().objects, probe.csr().objects);
 }
 
 TEST(TcmRetention, CompactIsIdempotentWithinAnEpoch) {
   const auto records = stream_over(3, 0, 128, 60, 10);
   for (const double decay : {0.0, 0.5}) {
-    TcmAccumulator acc(kThreads);
-    acc.add(records);
-    for (int i = 0; i < 5; ++i) acc.advance_epoch();
-    const TcmCompactStats first = acc.compact(2, decay);
+    TcmStore store(kThreads);
+    ArenaScratch scratch;
+    absorb_logs(store, records, scratch);
+    for (int i = 0; i < 5; ++i) store.advance_epoch();
+    const TcmCompactStats first = store.compact(2, decay);
     EXPECT_GT(first.dropped_objects + first.decayed_objects, 0u);
-    const SquareMatrix after_first = acc.dense();
-    const TcmCompactStats second = acc.compact(2, decay);
+    const SquareMatrix after_first = store_map(store);
+    const TcmCompactStats second = store.compact(2, decay);
     EXPECT_EQ(second.dropped_objects, 0u) << "decay=" << decay;
     EXPECT_EQ(second.decayed_objects, 0u) << "decay=" << decay;
-    EXPECT_EQ(second.freed_readers, 0u) << "decay=" << decay;
-    expect_maps_near(acc.dense(), after_first, "second compact is a no-op");
+    EXPECT_EQ(second.dropped_readers, 0u) << "decay=" << decay;
+    expect_maps_near(store_map(store), after_first, "second compact is a no-op");
   }
 }
 
@@ -106,36 +104,39 @@ TEST(TcmRetention, DecayScalesStalePairMassExactly) {
   // One stale object (threads 0/1, 100 bytes each) and one live object
   // (threads 2/3, 80 bytes each), unweighted so the expected cells are
   // plain minima.
-  TcmAccumulator acc(kThreads, /*weighted=*/false);
-  const std::vector<std::pair<ThreadId, double>> stale_readers = {{0, 100.0},
-                                                                  {1, 100.0}};
-  const std::vector<std::pair<ThreadId, double>> live_readers = {{2, 80.0},
-                                                                 {3, 80.0}};
-  acc.add_readers(7, stale_readers, 0);
-  acc.add_readers(8, live_readers, 0);
+  TcmStore store(kThreads);
+  ArenaScratch scratch;
+  std::vector<OalArena> stale;
+  stale.push_back(interval_log(0, {{7, 0, 100, 1}}));
+  stale.push_back(interval_log(1, {{7, 0, 100, 1}}));
+  std::vector<OalArena> live;
+  live.push_back(interval_log(2, {{8, 0, 80, 1}}));
+  live.push_back(interval_log(3, {{8, 0, 80, 1}}));
+  absorb_logs(store, stale, scratch);
+  absorb_logs(store, live, scratch);
   for (int i = 0; i < 3; ++i) {
-    acc.advance_epoch();
-    acc.add_readers(8, live_readers, 0);
+    store.advance_epoch();
+    absorb_logs(store, live, scratch);
   }
 
-  TcmCompactStats stats = acc.compact(/*idle_epochs=*/2, /*decay=*/0.5);
+  TcmCompactStats stats = store.compact(/*idle_epochs=*/2, /*decay=*/0.5);
   EXPECT_EQ(stats.decayed_objects, 1u);
   EXPECT_EQ(stats.dropped_objects, 0u);
-  SquareMatrix m = acc.dense();
+  SquareMatrix m = store_map(store);
   EXPECT_NEAR(m.at(0, 1), 50.0, 1e-9);  // stale pair halved
   EXPECT_NEAR(m.at(2, 3), 80.0, 1e-9);  // live pair untouched
 
   // Repeated epochs of decay shrink the stale mass geometrically until the
   // dust threshold (decayed max byte value < 1) drops the object outright.
-  std::size_t tracked_before = acc.objects_tracked();
-  for (int round = 0; round < 16 && acc.objects_tracked() == tracked_before;
+  const std::size_t tracked_before = store.object_count();
+  for (int round = 0; round < 16 && store.object_count() == tracked_before;
        ++round) {
-    acc.advance_epoch();
-    acc.add_readers(8, live_readers, 0);
-    acc.compact(2, 0.5);
+    store.advance_epoch();
+    absorb_logs(store, live, scratch);
+    store.compact(2, 0.5);
   }
-  EXPECT_EQ(acc.objects_tracked(), tracked_before - 1);
-  m = acc.dense();
+  EXPECT_EQ(store.object_count(), tracked_before - 1);
+  m = store_map(store);
   EXPECT_NEAR(m.at(0, 1), 0.0, 1e-9);
   EXPECT_NEAR(m.at(2, 3), 80.0, 1e-9);
 }
@@ -145,57 +146,101 @@ TEST(TcmRetention, MergeAfterCompactMatchesReference) {
   const auto live = stream_over(5, 500, 64, 30, 10);
   const auto incoming = stream_over(6, 800, 64, 30, 10);
 
-  TcmAccumulator acc(kThreads);
-  acc.add(stale);
-  acc.add(live);
+  TcmStore store(kThreads);
+  ArenaScratch scratch;
+  absorb_logs(store, stale, scratch);
+  absorb_logs(store, live, scratch);
   for (int i = 0; i < 4; ++i) {
-    acc.advance_epoch();
-    acc.add(live);
+    store.advance_epoch();
+    absorb_logs(store, live, scratch);
   }
-  ASSERT_GT(acc.compact(3, 0.0).dropped_objects, 0u);
+  ASSERT_GT(store.compact(3, 0.0).dropped_objects, 0u);
 
-  // Merging a fresh partial into a compacted accumulator must behave as if
-  // the dropped objects never existed.
-  TcmAccumulator partial(kThreads);
-  partial.add(incoming);
-  acc.merge(partial);
+  // Merging a fresh window into a compacted store must behave as if the
+  // dropped objects never existed.
+  absorb_logs(store, incoming, scratch);
 
   std::vector<OalArena> surviving = live;
   surviving.insert(surviving.end(), incoming.begin(), incoming.end());
-  expect_maps_near(acc.dense(),
-                   TcmBuilder::build_reference(surviving, kThreads),
+  expect_maps_near(store_map(store), build_reference(surviving, kThreads),
                    "merge-after-compact vs reference");
   // And the distributed reducer over the same surviving logs agrees —
   // compaction composes with the reduction monoid.
-  expect_maps_near(acc.dense(),
+  expect_maps_near(store_map(store),
                    DistributedTcmReducer::build(log_ptrs(surviving), kThreads,
                                                 /*weighted=*/true),
                    "merge-after-compact vs distributed reducer");
 }
 
-TEST(TcmRetention, FreeListBoundsPoolUnderChurn) {
-  // A sliding object population: each epoch folds a fresh window of objects
-  // and compaction retires windows older than the idle bound.  The pool and
-  // slot arrays must plateau instead of growing with total objects ever seen.
+TEST(TcmRetention, CapacityPlateausUnderChurn) {
+  // A sliding object population: each epoch merges a window of fresh
+  // objects and compaction retires windows older than the idle bound.  The
+  // store's arrays must plateau instead of growing with total objects ever
+  // seen.
   constexpr std::uint64_t kWindow = 256;
   constexpr int kEpochs = 40;
-  TcmAccumulator acc(kThreads);
+  TcmStore store(kThreads);
+  ArenaScratch scratch;
   std::size_t mem_mid = 0;
   for (int epoch = 0; epoch < kEpochs; ++epoch) {
     const auto batch =
         stream_over(100 + epoch, static_cast<ObjectId>(epoch) * kWindow,
                     kWindow, 20, 8);
-    acc.add(batch);
-    acc.advance_epoch();
-    acc.compact(/*idle_epochs=*/3, /*decay=*/0.0);
-    if (epoch == kEpochs / 2) mem_mid = acc.memory_bytes();
+    absorb_logs(store, batch, scratch);
+    store.advance_epoch();
+    store.compact(/*idle_epochs=*/3, /*decay=*/0.0);
+    if (epoch == kEpochs / 2) mem_mid = store.memory_bytes();
   }
   // Live state covers at most idle_epochs + 1 windows at any point.
-  EXPECT_LE(acc.objects_tracked(), (3 + 1) * kWindow);
+  EXPECT_LE(store.object_count(), (3 + 1) * kWindow);
   // Capacities reached steady state by mid-run: no further growth after.
   EXPECT_GT(mem_mid, 0u);
-  EXPECT_LE(acc.memory_bytes(), mem_mid);
+  EXPECT_LE(store.memory_bytes(), mem_mid);
 }
+
+class RetentionSweep : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(RetentionSweep, RandomSchedulesMatchTheSurvivorOracle) {
+  // Random windows over drifting ids under random retention schedules: the
+  // store must equal StoreOracle — the same rules applied to a std::map of
+  // max-combined readers — after every epoch, with the same pass counts.
+  SplitMix64 rng(GetParam());
+  RetentionPolicy policy;
+  policy.idle_epochs = static_cast<std::uint32_t>(1 + rng.next_below(5));
+  policy.decay = std::array<double, 3>{0.0, 0.5, 0.3}[rng.next_below(3)];
+  policy.compact_period = static_cast<std::uint32_t>(1 + rng.next_below(4));
+  TcmStore store(kThreads);
+  ArenaScratch scratch;
+  StoreOracle oracle;
+  for (std::uint32_t epoch = 0; epoch < 24; ++epoch) {
+    const auto window = repack(
+        stream_over(rng.next(), epoch * 16, 48,
+                    1 + static_cast<int>(rng.next_below(12)),
+                    1 + static_cast<int>(rng.next_below(8))),
+        static_cast<std::uint32_t>(1 + rng.next_below(16)));
+    absorb_logs(store, window, scratch);
+    oracle.absorb(window, kThreads);
+    store.advance_epoch();
+    const TcmCompactStats want = oracle.retain(policy);
+    if (store.epoch() % policy.compact_period == 0) {
+      const TcmCompactStats got =
+          store.compact(policy.idle_epochs, policy.decay);
+      EXPECT_EQ(got.dropped_objects, want.dropped_objects) << "epoch " << epoch;
+      EXPECT_EQ(got.decayed_objects, want.decayed_objects) << "epoch " << epoch;
+      EXPECT_EQ(got.dropped_readers, want.dropped_readers) << "epoch " << epoch;
+    }
+    ASSERT_EQ(store.object_count(), oracle.objects.size());
+    std::size_t k = 0;
+    for (const auto& entry : oracle.objects) {
+      ASSERT_EQ(store.csr().objects[k++], entry.first);
+    }
+    expect_maps_near(store_map(store), oracle.map(kThreads),
+                     "retained store vs oracle");
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, RetentionSweep,
+                         ::testing::Values(3, 17, 29, 101, 4242, 90001));
 
 }  // namespace
 }  // namespace djvm

@@ -195,7 +195,7 @@ int demo(const std::string& outdir) {
       djvm.gos().clock(t).advance(accesses * 2000);
     }
     djvm.barrier_all();
-    djvm.run_governed_epoch();
+    djvm.run_epoch();
   }
   if (SnapshotWriter* w = djvm.snapshot_writer()) {
     w->flush();
