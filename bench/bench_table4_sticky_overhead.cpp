@@ -22,17 +22,21 @@ std::vector<AppSpec> table4_apps() {
 
 double run_with_resolution(const Config& cfg, const WorkloadFactory& make) {
   std::vector<double> times;
+  // Summing each resolution's bytes keeps its result live, so the timed run
+  // cannot drop the work.
+  std::uint64_t resolved_bytes = 0;
   for (int rep = 0; rep < 3; ++rep) {
     Djvm djvm(cfg);
     djvm.spawn_threads_round_robin(cfg.threads);
     // Eager resolution at the end of each HLRC interval (ad-hoc measurement
     // mode; the cost normally vanishes across intervals without migrations).
-    djvm.add_interval_observer([&djvm](ThreadId t) {
+    djvm.add_interval_observer([&djvm, &resolved_bytes](ThreadId t) {
       const auto roots = djvm.invariants(t);
       const ClassFootprint fp = djvm.footprints().footprint(t);
       if (!roots.empty() && fp.total() > 0.0) {
-        resolve_sticky_set(djvm.heap(), djvm.plan(), roots, fp,
-                           djvm.config().landmark_tolerance);
+        resolved_bytes += resolve_sticky_set(djvm.heap(), djvm.plan(), roots, fp,
+                                             djvm.config().landmark_tolerance)
+                              .bytes;
       }
     });
     auto w = make();

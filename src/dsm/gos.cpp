@@ -127,15 +127,16 @@ void Gos::access(ThreadId t, ObjectId obj, bool is_write) {
   }
 
   // --- per-object bookkeeping (one record, one cache line) -------------------
-  // The merged ObjectBook serves the OAL, footprint, and dirty stamp checks;
-  // one [[unlikely]] size check covers all three (the seed's write path grew
-  // its stamp array unconditionally on every write).
+  // The merged ObjectBook serves the OAL, footprint, and dirty stamp checks.
+  // Its lookup is one directory load; one [[unlikely]] page-present check
+  // covers all three, and a missing page is allocated on first touch.
   const std::uint32_t dispatch = ts.dispatch;
   if ((dispatch & (kDispatchTracking | kDispatchFootprint)) != 0 || is_write) {
-    if (oi >= ts.book.size()) [[unlikely]] {
-      grow_to(ts.book, heap_.object_count(), ObjectBook{});
+    ObjectBook* rec = find_book(ts, oi);
+    if (rec == nullptr) [[unlikely]] {
+      rec = add_book_page(ts, oi);
     }
-    ObjectBook& bk = ts.book[oi];
+    ObjectBook& bk = *rec;
 
     // --- correlation tracking (false-invalid overlay) ------------------------
     // The interval stamp gates first: the false-invalid overlay traps the
@@ -236,12 +237,31 @@ void Gos::footprint_touch(ThreadState& ts, ObjectBook& bk, ObjectId obj) {
   ++node_stats_[ts.node].footprint_touches;
 }
 
+Gos::ObjectBook* Gos::add_book_page(ThreadState& ts, std::size_t oi) {
+  const std::size_t page = oi >> kBookPageShift;
+  if (page >= ts.book.size()) ts.book.resize(page + 1);
+  // Value-initialized: every record reads as never stamped, exactly like the
+  // zero-filled tail a dense table would have grown.
+  ts.book[page] = std::make_unique<ObjectBook[]>(kBookPageObjects);
+  return find_book(ts, oi);
+}
+
+std::size_t Gos::book_memory_bytes() const noexcept {
+  std::size_t pages = 0;
+  for (const ThreadState& ts : threads_) {
+    for (const BookPage& p : ts.book) pages += p != nullptr;
+  }
+  return pages * kBookPageBytes;
+}
+
 std::vector<FootprintTouch> Gos::footprint_touches(ThreadId t) const {
   const ThreadState& ts = threads_[t];
   std::vector<FootprintTouch> out;
   out.reserve(ts.fp_objects.size());
   for (ObjectId obj : ts.fp_objects) {
-    out.push_back(FootprintTouch{obj, ts.book[static_cast<std::size_t>(obj)].fp_count});
+    // Every footprinted object was touched, so its page is present.
+    out.push_back(
+        FootprintTouch{obj, find_book(ts, static_cast<std::size_t>(obj))->fp_count});
   }
   return out;
 }
@@ -255,10 +275,10 @@ void Gos::flush_dirty(ThreadId t) {
   ++global_epoch_;
   NodeState& ns = nodes_[ts.node];
   grow_node(ns);
+  grow_to(last_write_epoch_, heap_.object_count(), 0u);
   for (ObjectId obj : ts.dirty) {
     const ObjectMeta& m = heap_.meta(obj);
     const auto oi = static_cast<std::size_t>(obj);
-    grow_to(last_write_epoch_, heap_.object_count(), 0u);
     last_write_epoch_[oi] = global_epoch_;
     if (m.home != ts.node) {
       // Diff propagation to home (simplified: whole-object diff payload).
@@ -280,7 +300,7 @@ void Gos::close_interval(ThreadId t, NodeId sync_dest) {
   ThreadState& ts = threads_[t];
   if (hooks_) hooks_->on_interval_close(t);
   for (ObjectId obj : ts.fp_objects) {
-    ts.book[static_cast<std::size_t>(obj)].fp_count = 0;
+    find_book(ts, static_cast<std::size_t>(obj))->fp_count = 0;
   }
   ts.fp_objects.clear();
   if (tracking_ != OalTransfer::kDisabled && !ts.oal.empty()) {

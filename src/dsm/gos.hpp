@@ -19,6 +19,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -161,6 +162,15 @@ class Gos : public CopySetView {
   /// demand from the internal counters).
   [[nodiscard]] std::vector<FootprintTouch> footprint_touches(ThreadId t) const;
 
+  /// Objects per page of a thread's ObjectBook (see ThreadState::book): 256
+  /// 16-byte records, one 4 KB memory page.
+  static constexpr unsigned kBookPageShift = 8;
+  static constexpr std::size_t kBookPageObjects = std::size_t{1} << kBookPageShift;
+  static constexpr std::size_t kBookPageBytes = kBookPageObjects * 16;
+  /// Bytes of ObjectBook pages held by every thread together (the page
+  /// directories, one pointer per page slot, are not counted).
+  [[nodiscard]] std::size_t book_memory_bytes() const noexcept;
+
   [[nodiscard]] const ProtocolStats& stats() const noexcept { return stats_; }
   /// Profiling activity attributed to one worker node (the node a thread ran
   /// on when it paid the cost; threads that migrate charge their new node).
@@ -193,14 +203,16 @@ class Gos : public CopySetView {
 
   /// Per-(thread, object) profiling bookkeeping, merged into one record so a
   /// single cache line serves every per-access stamp check (OAL at-most-once,
-  /// dirty tracking, footprint re-arm) — the seed kept four parallel arrays
-  /// and touched up to four cache lines per access.
+  /// dirty tracking, footprint re-arm).  All-zero means never stamped:
+  /// interval and release stamps and footprint ticks all start at 1.
   struct ObjectBook {
     std::uint32_t oal_stamp = 0;   ///< interval epoch of the last OAL log
     std::uint32_t dirty_stamp = 0; ///< release epoch of the last dirty mark
     std::uint32_t fp_stamp = 0;    ///< last footprint re-arm tick tag
     std::uint32_t fp_count = 0;    ///< distinct footprint ticks this interval
   };
+  static_assert(sizeof(ObjectBook) * kBookPageObjects == kBookPageBytes);
+  using BookPage = std::unique_ptr<ObjectBook[]>;
 
   /// Per-thread dispatch mask bits: which per-access profiling branches are
   /// live.  Precomputed on every configuration change so the hot path reads
@@ -226,7 +238,10 @@ class Gos : public CopySetView {
     std::uint32_t phase_pc = 0;
     std::uint32_t interval_start_pc = 0;
     std::vector<OalEntry> oal;
-    std::vector<ObjectBook> book;           ///< merged per-object stamp records
+    /// ObjectBook pages indexed by `obj >> kBookPageShift`.  A page is null
+    /// until the thread's first bookkept access to one of its objects, so
+    /// the book grows with what the thread touches, not with the heap.
+    std::vector<BookPage> book;
     std::vector<ObjectId> dirty;            ///< written since last release
     std::uint32_t release_stamp = 1;
     // footprinting
@@ -239,6 +254,15 @@ class Gos : public CopySetView {
   };
 
   void access(ThreadId t, ObjectId obj, bool is_write);
+  /// `ts`'s record for object index `oi`, or nullptr while its page is absent.
+  static ObjectBook* find_book(const ThreadState& ts, std::size_t oi) noexcept {
+    const std::size_t page = oi >> kBookPageShift;
+    return page < ts.book.size() && ts.book[page]
+               ? &ts.book[page][oi & (kBookPageObjects - 1)]
+               : nullptr;
+  }
+  /// Allocates the zero-filled page holding `oi` and returns its record.
+  static ObjectBook* add_book_page(ThreadState& ts, std::size_t oi);
   void object_fault(ThreadState& ts, NodeState& ns, ObjectId obj);
   void log_access(ThreadState& ts, ObjectId obj);
   void footprint_touch(ThreadState& ts, ObjectBook& bk, ObjectId obj);

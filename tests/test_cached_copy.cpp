@@ -90,7 +90,7 @@ TEST(CachedCopySampling, NodeResampleWalksCachedCopiesAndBillsWalker) {
   plan.set_nominal_gap(w.hot, 4);
   plan.resample_all();
   w.run_epoch();  // node 1 faults the whole pool into its cache
-  plan.drain_resampled_by_node();
+  (void)plan.drain_resampled_by_node();
 
   plan.set_node_gap_shift(1, w.hot, 1);
   const std::size_t visited = plan.resample_classes_on_node(1, {w.hot});
@@ -108,7 +108,7 @@ TEST(CachedCopySampling, ClusterResampleBillsEveryCachingNode) {
   SamplingPlan& plan = w.djvm->plan();
   plan.set_nominal_gap(w.hot, 4);
   w.run_epoch();  // both nodes hold copies now (node 0 homes, node 1 caches)
-  plan.drain_resampled_by_node();
+  (void)plan.drain_resampled_by_node();
 
   plan.set_nominal_gap(w.hot, 8);
   const std::size_t visited = plan.resample_class(w.hot);

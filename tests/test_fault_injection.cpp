@@ -382,7 +382,9 @@ TEST_F(DegradedModeTest, TimedKillFromThePlanFiresDuringTheRun) {
   for (int e = 0; e < 4; ++e) {
     drive_epoch(djvm, objs);
     const EpochResult res = djvm.run_epoch();
-    if (e < 2) EXPECT_FALSE(res.degraded) << "epoch " << e;
+    if (e < 2) {
+      EXPECT_FALSE(res.degraded) << "epoch " << e;
+    }
     saw_degraded |= res.degraded;
   }
   EXPECT_TRUE(saw_degraded);
@@ -406,7 +408,9 @@ TEST_F(DegradedModeTest, QuarantinedNodeIsExcludedFromOffenderScoring) {
   djvm.fail_node(1);
   drive_epoch(djvm, objs);
   const EpochResult res = djvm.run_epoch();
-  if (res.offender.has_value()) EXPECT_NE(*res.offender, 1);
+  if (res.offender.has_value()) {
+    EXPECT_NE(*res.offender, 1);
+  }
   EXPECT_EQ(djvm.governor().quarantined_nodes(),
             std::vector<NodeId>{1});
 }

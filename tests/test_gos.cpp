@@ -384,6 +384,34 @@ TEST_F(GosTest, FootprintTouchesClearedAtIntervalClose) {
   EXPECT_EQ(gos->footprint_touches(0).size(), 0u);
 }
 
+TEST_F(GosTest, BookMemoryFollowsTouchedPages) {
+  init(OalTransfer::kLocalOnly);
+  const std::size_t count = 16 * Gos::kBookPageObjects + 5;
+  for (std::size_t i = 0; i < count; ++i) gos->alloc(klass, 0);
+  const auto last = static_cast<ObjectId>(count - 1);
+  EXPECT_EQ(gos->book_memory_bytes(), 0u);
+
+  // A tracked thread holds the two pages it touched, not the heap's 17.
+  gos->read(0, 0);
+  gos->read(0, last);
+  EXPECT_EQ(gos->book_memory_bytes(), 2 * Gos::kBookPageBytes);
+  gos->write(0, 1);
+  gos->read(0, last - 1);
+  EXPECT_EQ(gos->book_memory_bytes(), 2 * Gos::kBookPageBytes);
+
+  // Pages survive interval close: their stamps still gate the next interval.
+  gos->barrier_all();
+  EXPECT_EQ(gos->book_memory_bytes(), 2 * Gos::kBookPageBytes);
+
+  // With tracking and footprinting off, reads keep no book at all.
+  gos->set_tracking(OalTransfer::kDisabled);
+  for (ObjectId o = 0; o < count; ++o) gos->read(1, o);
+  EXPECT_EQ(gos->book_memory_bytes(), 2 * Gos::kBookPageBytes);
+  // A write still needs its dirty stamp.
+  gos->write(1, static_cast<ObjectId>(Gos::kBookPageObjects));
+  EXPECT_EQ(gos->book_memory_bytes(), 3 * Gos::kBookPageBytes);
+}
+
 struct CountingHooks : Gos::Hooks {
   int stack_samples = 0;
   int interval_closes = 0;

@@ -99,7 +99,9 @@ TEST_F(HomeAffinityTest, ThirdNodeHomeCase) {
   ASSERT_FALSE(aware.empty());
   // Every suggestion for threads 0/1 must target node 2 (the data's home).
   for (const auto& s : aware) {
-    if (s.thread <= 1) EXPECT_EQ(s.to, 2) << "thread " << s.thread;
+    if (s.thread <= 1) {
+      EXPECT_EQ(s.to, 2) << "thread " << s.thread;
+    }
   }
 }
 

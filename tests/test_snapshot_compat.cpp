@@ -205,7 +205,7 @@ TEST_F(SnapshotCompatTest, WarmStartResamplesNothingWhenNothingChanged) {
   plan.resample_all();
   ASSERT_EQ(plan.real_gap(hot), 17u);
   ASSERT_EQ(plan.real_gap(bulky), 127u);
-  plan.drain_resampled_by_node();
+  (void)plan.drain_resampled_by_node();
 
   Governor gov(plan);
   SquareMatrix tcm;
@@ -225,7 +225,7 @@ TEST_F(SnapshotCompatTest, WarmStartResamplesOnlyChangedClasses) {
   plan.set_nominal_gap(hot, 16);
   plan.set_nominal_gap(bulky, 128);
   plan.resample_all();
-  plan.drain_resampled_by_node();
+  (void)plan.drain_resampled_by_node();
 
   // The fixture disagrees on `hot` only: exactly hot's 64 objects are
   // re-walked (each visit billed to the caching node — its home here, with
