@@ -35,10 +35,11 @@ std::vector<OalArena> synth_logs(std::uint32_t objects, std::uint32_t threads,
 }
 
 double time_build(const std::vector<OalArena>& logs, std::uint32_t threads) {
+  const std::vector<const OalArena*> ptrs = log_ptrs(logs);
   const auto t0 = std::chrono::steady_clock::now();
   ArenaScratch scratch;
   const ReaderArena readers =
-      TcmBuilder::reorganize_arena(logs, /*weighted=*/true, scratch);
+      TcmBuilder::reorganize_arena(ptrs, /*weighted=*/true, scratch);
   const SquareMatrix tcm = TcmBuilder::accrue_sparse(readers, threads).densify();
   const double dt =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();

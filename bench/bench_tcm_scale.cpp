@@ -23,9 +23,10 @@
 // into fixed 4096-entry OalArenas (the ingest hand-off unit).  The per-batch
 // dense rebuild protocol is deliberately not run there (it is the very
 // O(run-so-far) wall the sweep above already prices); instead the phase
-// gates that both arena consumers — the incremental store (one window per
-// batch, a whole-run map after each) and the one-shot CSR pipeline
-// (DistributedTcmReducer::build) — match one final build_reference to 1e-9.
+// gates that the incremental store (one window per batch, a whole-run map
+// after each) and the daemon's window build run once over every arena of
+// the run (one reorganize_arena, accrue_sparse, densify) both match one
+// final build_reference to 1e-9.
 #include <chrono>
 #include <cstdio>
 #include <vector>
@@ -33,7 +34,6 @@
 #include "harness.hpp"
 #include "ingest_helpers.hpp"
 #include "profiling/accuracy.hpp"
-#include "profiling/distributed_tcm.hpp"
 #include "profiling/ingest.hpp"
 #include "profiling/tcm.hpp"
 
@@ -163,7 +163,7 @@ ArenaScaleResult run_arena_scale(const SweepPoint& p) {
     out.incr_seconds = seconds_since(t0);
   }
 
-  // One-shot CSR pipeline over every arena of the run.
+  // The daemon's window build, once over every arena of the run.
   SquareMatrix csr;
   {
     std::vector<const OalArena*> all;
@@ -171,8 +171,11 @@ ArenaScaleResult run_arena_scale(const SweepPoint& p) {
       for (const OalArena& a : batch) all.push_back(&a);
     }
     const auto t0 = std::chrono::steady_clock::now();
-    csr = DistributedTcmReducer::build(std::span<const OalArena* const>(all),
-                                       p.threads, /*weighted=*/true);
+    ArenaScratch scratch;
+    csr = TcmBuilder::accrue_sparse(
+              TcmBuilder::reorganize_arena(all, /*weighted=*/true, scratch),
+              p.threads)
+              .densify();
     out.csr_seconds = seconds_since(t0);
   }
 

@@ -22,9 +22,10 @@ BalancerFeedback build_balancer_feedback(
     // cells would move remote_shared_bytes of the current partition by
     // exactly this much.  Weighted home mass counts on *both* sides of the
     // share: a class whose objects are each read by a single thread
-    // remotely from their home has no pair mass at all, yet its cells are
-    // exactly what the home-aware planner acts on — dividing by pair mass
-    // alone would zero its share and the governor would shed it first.
+    // remotely from their home has no pair mass at all, yet every one of
+    // those accesses pays a remote fault under the home-based protocol —
+    // dividing by pair mass alone would zero its share and the governor
+    // would shed it first.
     const double home = home_weight > 0.0 && c < cells.home_mass.size()
                             ? home_weight * cells.home_mass[c]
                             : 0.0;

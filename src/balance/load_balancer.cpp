@@ -130,24 +130,37 @@ Placement correlation_placement(const SquareMatrix& tcm, std::uint32_t nodes,
   return p;
 }
 
-namespace {
+Placement assemble_placement(std::span<const NodeId> placed, std::size_t dim) {
+  Placement p;
+  p.node_of_thread.assign(dim, kInvalidNode);
+  for (std::size_t t = 0; t < placed.size() && t < dim; ++t) {
+    p.node_of_thread[t] = placed[t];
+  }
+  return p;
+}
 
-/// Shared core of the two planners: `node_value(t, n, working)` scores node
-/// `n` for thread `t` against the *working* placement (the batch-consistent
-/// view with earlier accepted moves applied); a move is suggested when the
-/// score delta beats the modeled cost.  `on_move(t, from, to)` fires on each
-/// acceptance so a caller with precomputed per-(thread, node) state can
-/// update it incrementally.  One pass over the threads means no two
-/// suggestions ever move the same thread.
-template <typename NodeValue, typename OnMove>
-std::vector<MigrationSuggestion> plan_with_value(
-    std::uint32_t threads, const Placement& current,
+std::vector<MigrationSuggestion> plan_migrations(
+    const SquareMatrix& tcm, const Placement& current,
     std::span<const ClassFootprint> footprints,
     std::span<const std::uint64_t> context_bytes, const MigrationCostModel& model,
-    std::uint32_t nodes, double bytes_per_ns, std::uint32_t slack,
-    NodeValue&& node_value, OnMove&& on_move) {
-  Placement working = current;
-  std::vector<std::uint32_t> load = working.loads(nodes);
+    std::uint32_t nodes, double bytes_per_ns, std::uint32_t slack) {
+  // Per-(thread, node) affinities, precomputed in one O(threads^2) pass: a
+  // node is scored once per (thread, candidate node), and recomputing the
+  // thread scan there would make the every-epoch planner O(threads^2 x nodes).
+  const std::uint32_t threads = static_cast<std::uint32_t>(tcm.size());
+  std::vector<double> affinity(static_cast<std::size_t>(threads) * nodes, 0.0);
+  for (std::uint32_t t = 0; t < threads; ++t) {
+    for (std::uint32_t u = 0; u < threads; ++u) {
+      if (u == t) continue;
+      const NodeId n = current.node_of_thread[u];
+      if (n < nodes) affinity[static_cast<std::size_t>(t) * nodes + n] += tcm.at(t, u);
+    }
+  }
+  const auto value = [&](std::uint32_t t, std::uint32_t n) {
+    return affinity[static_cast<std::size_t>(t) * nodes + n];
+  };
+
+  std::vector<std::uint32_t> load = current.loads(nodes);
   // Capacity is derived from the threads that actually sit on a node (the
   // sum of the loads): kInvalidNode padding for map slots with no spawned
   // thread must not inflate the ceiling into accepting infeasible moves.
@@ -155,19 +168,21 @@ std::vector<MigrationSuggestion> plan_with_value(
   const std::uint32_t capacity =
       nodes == 0 ? placed : (placed + nodes - 1) / nodes + slack;
 
+  // One pass over the threads, so no two suggestions ever move the same
+  // thread.
   std::vector<MigrationSuggestion> out;
   for (std::uint32_t t = 0; t < threads; ++t) {
-    const NodeId cur = working.node_of_thread[t];
+    const NodeId cur = current.node_of_thread[t];
     // Unplaced threads (kInvalidNode padding for map slots with no spawned
     // thread) can neither migrate nor occupy capacity.
     if (cur >= nodes) continue;
     NodeId best = cur;
-    const double cur_value = node_value(t, cur, working);
+    const double cur_value = value(t, cur);
     double best_value = cur_value;
     for (std::uint32_t n = 0; n < nodes; ++n) {
       if (n == cur) continue;
       if (load[n] + 1 > capacity) continue;
-      const double v = node_value(t, static_cast<NodeId>(n), working);
+      const double v = value(t, n);
       if (v > best_value) {
         best = static_cast<NodeId>(n);
         best_value = v;
@@ -184,12 +199,19 @@ std::vector<MigrationSuggestion> plan_with_value(
         static_cast<double>(est.total_with_prefetch()) * bytes_per_ns;
     if (gain <= cost_bytes) continue;
 
-    // Accept: apply the move to the working view so later candidates score
-    // against the intended batch, not the stale pre-batch placement.
+    // Accept: apply the move to the loads and the affinity table so later
+    // candidates score against the intended batch, not the stale pre-batch
+    // placement — the mover's mass in every other thread's row shifts from
+    // the old node's column to the new one (O(threads) per accepted move).
     --load[cur];
     ++load[best];
-    working.node_of_thread[t] = best;
-    on_move(t, cur, best);
+    for (std::uint32_t u = 0; u < threads; ++u) {
+      if (u == t) continue;
+      const double w = tcm.at(u, t);
+      if (w == 0.0) continue;
+      affinity[static_cast<std::size_t>(u) * nodes + cur] -= w;
+      affinity[static_cast<std::size_t>(u) * nodes + best] += w;
+    }
 
     MigrationSuggestion s;
     s.thread = t;
@@ -204,74 +226,6 @@ std::vector<MigrationSuggestion> plan_with_value(
     return a.score > b.score;
   });
   return out;
-}
-
-}  // namespace
-
-Placement assemble_placement(std::span<const NodeId> placed, std::size_t dim) {
-  Placement p;
-  p.node_of_thread.assign(dim, kInvalidNode);
-  for (std::size_t t = 0; t < placed.size() && t < dim; ++t) {
-    p.node_of_thread[t] = placed[t];
-  }
-  return p;
-}
-
-std::vector<MigrationSuggestion> plan_migrations_home_aware(
-    const SquareMatrix& tcm, const ThreadHomeAffinity& home,
-    const Placement& current, std::span<const ClassFootprint> footprints,
-    std::span<const std::uint64_t> context_bytes, const MigrationCostModel& model,
-    std::uint32_t nodes, double bytes_per_ns, std::uint32_t slack,
-    double home_weight) {
-  const std::uint32_t threads = static_cast<std::uint32_t>(tcm.size());
-  auto node_value = [&](std::uint32_t t, NodeId n, const Placement& working) {
-    double pair_affinity = 0.0;
-    for (std::uint32_t u = 0; u < threads; ++u) {
-      if (u == t) continue;
-      if (working.node_of_thread[u] == n) pair_affinity += tcm.at(t, u);
-    }
-    return pair_affinity + home_weight * home.at(t, n);
-  };
-  return plan_with_value(threads, current, footprints, context_bytes, model,
-                         nodes, bytes_per_ns, slack, node_value,
-                         [](std::uint32_t, NodeId, NodeId) {});
-}
-
-std::vector<MigrationSuggestion> plan_migrations(
-    const SquareMatrix& tcm, const Placement& current,
-    std::span<const ClassFootprint> footprints,
-    std::span<const std::uint64_t> context_bytes, const MigrationCostModel& model,
-    std::uint32_t nodes, double bytes_per_ns, std::uint32_t slack) {
-  // The home-aware planner with home_weight 0, with the per-(thread, node)
-  // affinities precomputed in one O(threads^2) pass — node_value is called
-  // once per (thread, candidate node), and recomputing the thread scan
-  // inside it would make the every-epoch planner run O(threads^2 x nodes).
-  const std::uint32_t threads = static_cast<std::uint32_t>(tcm.size());
-  std::vector<double> affinity(static_cast<std::size_t>(threads) * nodes, 0.0);
-  for (std::uint32_t t = 0; t < threads; ++t) {
-    for (std::uint32_t u = 0; u < threads; ++u) {
-      if (u == t) continue;
-      const NodeId n = current.node_of_thread[u];
-      if (n < nodes) affinity[static_cast<std::size_t>(t) * nodes + n] += tcm.at(t, u);
-    }
-  }
-  auto node_value = [&](std::uint32_t t, NodeId n, const Placement&) {
-    return affinity[static_cast<std::size_t>(t) * nodes + n];
-  };
-  // Batch consistency for the precomputed table: when a move is accepted,
-  // shift the mover's mass in every other thread's affinity row from the old
-  // node's column to the new one (O(threads) per accepted move).
-  auto on_move = [&](std::uint32_t t, NodeId from, NodeId to) {
-    for (std::uint32_t u = 0; u < threads; ++u) {
-      if (u == t) continue;
-      const double w = tcm.at(u, t);
-      if (w == 0.0) continue;
-      affinity[static_cast<std::size_t>(u) * nodes + from] -= w;
-      affinity[static_cast<std::size_t>(u) * nodes + to] += w;
-    }
-  };
-  return plan_with_value(threads, current, footprints, context_bytes, model,
-                         nodes, bytes_per_ns, slack, node_value, on_move);
 }
 
 }  // namespace djvm

@@ -13,7 +13,6 @@
 #include <span>
 #include <vector>
 
-#include "balance/home_affinity.hpp"
 #include "common/matrix.hpp"
 #include "common/types.hpp"
 #include "migration/cost_model.hpp"
@@ -34,7 +33,7 @@ struct Placement {
 [[nodiscard]] Placement round_robin_placement(std::uint32_t threads, std::uint32_t nodes);
 
 /// Pads (or truncates) a live thread->node walk to `dim` map slots.  Slots
-/// past the walked threads read kInvalidNode, which the planners treat as
+/// past the walked threads read kInvalidNode, which the planner treats as
 /// *unplaced*: such a slot can neither migrate nor occupy a node's capacity.
 /// The facade's influence-placement and planner paths both assemble their
 /// Placement through this (the TCM's dimension is the configured thread
@@ -74,31 +73,19 @@ struct MigrationSuggestion {
 /// descending score.
 ///
 /// Plans are *batch-consistent*: each accepted suggestion updates the
-/// working placement, so later candidates see earlier moves — capacity is
-/// respected after the batch applies (a move both frees a slot at its
-/// source and takes one at its target), affinity is scored against where
-/// co-accessors will be rather than where they were (two partner threads
-/// cannot swap past each other chasing each other's old node), and no two
-/// suggestions move the same thread.  An executor applying only a prefix of
-/// the batch (score order, per-epoch cap) can transiently exceed a node's
-/// capacity by at most the moves it skipped; the slack term absorbs that.
+/// planner's node loads and per-node affinities, so later candidates see
+/// earlier moves — capacity is respected after the batch applies (a move
+/// both frees a slot at its source and takes one at its target), affinity
+/// is scored against where co-accessors will be rather than where they were
+/// (two partner threads cannot swap past each other chasing each other's
+/// old node), and no two suggestions move the same thread.  An executor
+/// applying only a prefix of the batch (score order, per-epoch cap) can
+/// transiently exceed a node's capacity by at most the moves it skipped; the
+/// slack term absorbs that.
 [[nodiscard]] std::vector<MigrationSuggestion> plan_migrations(
     const SquareMatrix& tcm, const Placement& current,
     std::span<const ClassFootprint> footprints,
     std::span<const std::uint64_t> context_bytes, const MigrationCostModel& model,
     std::uint32_t nodes, double bytes_per_ns, std::uint32_t slack = 0);
-
-/// Home-effect-aware variant (paper future work): a candidate node's value is
-/// the pairwise TCM affinity *plus* `home_weight` times the thread's access
-/// volume to objects homed there.  This catches the paper's tricky case of
-/// thread pairs whose shared objects live at a third node — the plain planner
-/// would bounce one thread to the other's node; this one sends both toward
-/// the data's home.
-[[nodiscard]] std::vector<MigrationSuggestion> plan_migrations_home_aware(
-    const SquareMatrix& tcm, const ThreadHomeAffinity& home,
-    const Placement& current, std::span<const ClassFootprint> footprints,
-    std::span<const std::uint64_t> context_bytes, const MigrationCostModel& model,
-    std::uint32_t nodes, double bytes_per_ns, std::uint32_t slack = 0,
-    double home_weight = 1.0);
 
 }  // namespace djvm

@@ -173,10 +173,10 @@ struct FaultKnobs {
   std::uint64_t partition_begin = ~0ull;
   std::uint64_t partition_end = 0;
   NodeId partition_cut = 0;
-  /// Reliable-transport policy: attempts beyond the first for round trips,
-  /// reduction-tree partial exchanges, and migration/snapshot control
-  /// messages; backoff doubles from `retry_backoff_ns` per retry and the
-  /// wait is billed into the sender's overhead sample.
+  /// Reliable-transport policy: attempts beyond the first for round trips
+  /// and migration/snapshot control messages; backoff doubles from
+  /// `retry_backoff_ns` per retry and the wait is billed into the sender's
+  /// overhead sample.
   std::uint32_t max_retries = 4;
   SimTime retry_backoff_ns = sim_us(200);
 };
@@ -232,9 +232,9 @@ struct ArbiterKnobs {
   double lend_ratio = 0.75;
 };
 
-/// The configuration state; Config derives from this.  Everything in the
-/// tree reads and writes the nested knob names.
-struct ConfigData {
+/// Central configuration.  Everything in the tree reads and writes the
+/// nested knob names.
+struct Config {
   // --- cluster shape -------------------------------------------------------
   std::uint32_t nodes = 8;
   std::uint32_t threads = 8;
@@ -246,8 +246,6 @@ struct ConfigData {
   /// 0 means "full sampling" (gap 1).  The per-class gap is derived as
   /// nearest_prime(page / (instance_size * rate)).
   std::uint32_t sampling_rate_x = 0;
-  /// TCM accrual period: rebuild after this many collected intervals.
-  std::uint32_t tcm_epoch_intervals = 64;
   /// Convergence threshold on relative ABS distance for the adaptive
   /// rate controller.
   double adapt_threshold = 0.05;
@@ -294,22 +292,11 @@ struct ConfigData {
   SimTime footprint_phase = sim_ms(100);
   /// Re-arm period for repeated in-interval tracking of sampled objects.
   SimTime footprint_rearm = sim_ms(10);
-  /// Lower bound on the footprinting sampling gap (the paper bounds it to
-  /// keep repeated tracking cheap).
-  std::uint32_t footprint_min_gap = 1;
   /// Landmark tolerance `t` for sticky-set resolution (paper: t > 1).
   double landmark_tolerance = 2.0;
 
   // --- simulated machine ---------------------------------------------------
   SimCosts costs{};
-};
-
-/// Central configuration.  The deprecated flat aliases for the nested knob
-/// names (the PR 7 `[[deprecated]]` reference shim) served their one-release
-/// notice and are gone; everything reads and writes the nested names.
-struct Config : ConfigData {
-  /// Human-readable one-line summary for logs.
-  [[nodiscard]] std::string summary() const;
 };
 
 }  // namespace djvm

@@ -67,10 +67,9 @@ class SquareMatrix {
 /// Strictly-upper-triangular pair accumulator over N endpoints: N(N-1)/2
 /// cells in one flat buffer instead of a dense N x N matrix.  TCM accrual is
 /// symmetric with an unused diagonal, so this is the natural shape for the
-/// sparse pipeline's partial sums — half the memory of SquareMatrix, O(1)
-/// unordered-pair updates with no hashing, and cheap `operator+=` merges of
-/// partials (distributed shards, per-worker accumulators).  Densify to a
-/// symmetric SquareMatrix only when a consumer needs the full map.
+/// sparse pipeline's pair sums — half the memory of SquareMatrix and O(1)
+/// unordered-pair updates with no hashing.  Densify to a symmetric
+/// SquareMatrix only when a consumer needs the full map.
 class UpperTriangle {
  public:
   UpperTriangle() = default;
@@ -92,18 +91,6 @@ class UpperTriangle {
 
   [[nodiscard]] double at(std::size_t i, std::size_t j) const {
     return cells_[index(i, j)];
-  }
-
-  /// Merges another accumulator of the same dimension (partial sums add).
-  UpperTriangle& operator+=(const UpperTriangle& other) {
-    assert(n_ == other.n_);
-    for (std::size_t k = 0; k < cells_.size(); ++k) cells_[k] += other.cells_[k];
-    return *this;
-  }
-
-  /// Zeroes every cell, keeping the allocation.
-  void clear() noexcept {
-    for (double& c : cells_) c = 0.0;
   }
 
   /// Expands to the symmetric dense map (the on-demand densify step).

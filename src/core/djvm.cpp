@@ -551,12 +551,6 @@ void Djvm::add_interval_observer(IntervalObserver obs) {
   interval_observers_.push_back(std::move(obs));
 }
 
-void Djvm::clear_observers() {
-  access_observers_.clear();
-  interval_observers_.clear();
-  gos_->set_observe_accesses(false);
-}
-
 void Djvm::on_stack_sample(ThreadId t) {
   if (t >= stacks_.size()) return;
   const StackSampleWork work = stackman_.sample(t, stacks_[t]);

@@ -196,7 +196,6 @@ class Djvm final : public Gos::Hooks {
   /// Registers a raw-access observer and enables access observation.
   void add_access_observer(AccessObserver obs);
   void add_interval_observer(IntervalObserver obs);
-  void clear_observers();
 
   // --- Gos::Hooks -----------------------------------------------------------------
   void on_stack_sample(ThreadId t) override;

@@ -101,7 +101,7 @@ std::string timeline_line(const EpochResult& epoch, const Governor& governor,
   out += '}';
 
   // Fault-plan telemetry: transport drops/retries per category, backoff wait,
-  // and the degraded marker naming nodes whose partials this epoch lost.
+  // and the degraded marker naming nodes whose interval slices this epoch lost.
   out += ",\"faults\":{\"degraded\":";
   out += epoch.degraded ? "true" : "false";
   out += ",\"lost_nodes\":[";

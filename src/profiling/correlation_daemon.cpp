@@ -102,9 +102,11 @@ EpochResult CorrelationDaemon::run_epoch(OverheadSample sample) {
   if (class_stats) plan_.begin_epoch_stats();
   const Heap& heap = plan_.heap();
   // Walk the drained arena slices (each carries its interval's header
-  // context).  Thread-home-affinity mass: HT-weighted bytes the
-  // logging node accessed on objects homed elsewhere — cells the balancer's
-  // home-aware planner acts on even without a co-located peer.
+  // context).  Remote-home mass: HT-weighted bytes the logging node
+  // accessed on objects homed elsewhere.  Under the home-based protocol each
+  // such access pays a remote fault whether or not a peer shares the object,
+  // so build_balancer_feedback credits it to the class even when the class
+  // has no pair cells.
   for (const OalArena* a : pending_arenas_) {
     out.entries += a->entries.size();
     wire_bytes += a->wire_bytes();

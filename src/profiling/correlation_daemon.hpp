@@ -123,11 +123,12 @@ struct EpochResult {
   /// shared multi-tenant meter — the sample carries its tenant id, so the
   /// shared meter's per-(tenant, node) windows stay namespaced.
   OverheadSample sample;
-  /// Degraded-mode marker: true when at least one node's profiling partials
-  /// were lost this epoch (node dead, partitioned, or its reduction-tree
-  /// exchange exhausted its retries), with the nodes named in `lost_nodes`.
-  /// The map in `tcm` is then *incomplete*, not wrong — accuracy benches
-  /// compare surviving-node objects only and treat the rest as missing data.
+  /// Degraded-mode marker: true when at least one node's profiling
+  /// contribution was lost this epoch (the node is dead, so its un-shipped
+  /// interval slices were dropped at ingest), with the nodes named in
+  /// `lost_nodes`.  The map in `tcm` is then *incomplete*, not wrong —
+  /// accuracy benches compare surviving-node objects only and treat the rest
+  /// as missing data.
   /// Filled by the pump (the daemon itself never sees the network).
   bool degraded = false;
   std::vector<NodeId> lost_nodes;

@@ -7,8 +7,8 @@
 // jumbo message for the central coordinator, piggybacked on lock/barrier
 // traffic when possible.  In memory that message is one slice of an
 // `OalArena`: the single OAL representation every consumer (the daemon's
-// fold, the distributed reducer, the home-affinity builder, offline tools)
-// reads.  The ingest transport that moves arenas lives in ingest.hpp.
+// window build, offline tools) reads.  The ingest transport that moves
+// arenas lives in ingest.hpp.
 #pragma once
 
 #include <cstdint>

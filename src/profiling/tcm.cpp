@@ -46,17 +46,8 @@ void ObjectSlotMap::release(std::span<const ObjectId> touched) {
 
 // --- arena reorganize ---------------------------------------------------------
 
-namespace {
-
-/// The shared bucket-sort machinery behind every reorganize/merge variant:
-/// `for_each` must invoke its argument once per (thread, object, class,
-/// already-scaled bytes) tuple, in any order, any number of times per
-/// (thread, object).  Pass 1 flattens through the direct-indexed slot map,
-/// pass 2 prefix-sums + scatters, pass 3 stamp-dedups each segment in place
-/// with max-combining.
-template <typename ForEach>
-ReaderArena reorganize_impl(ArenaScratch& s, std::size_t total_hint,
-                            ForEach&& for_each) {
+ReaderArena TcmBuilder::reorganize_arena(std::span<const OalArena* const> logs,
+                                         bool weighted, ArenaScratch& s) {
   ReaderArena arena;
   s.counts.clear();
   s.flat_slot.clear();
@@ -65,23 +56,30 @@ ReaderArena reorganize_impl(ArenaScratch& s, std::size_t total_hint,
   // Pass 1: flatten entries, assigning dense object slots in first-appearance
   // order (direct-indexed bucket "hash" — object ids are dense heap ids) and
   // counting each slot's bucket size.
-  s.flat_slot.reserve(total_hint);
-  s.flat_reader.reserve(total_hint);
+  std::size_t total_entries = 0;
+  for (const OalArena* log : logs) total_entries += log->entries.size();
+  s.flat_slot.reserve(total_entries);
+  s.flat_reader.reserve(total_entries);
 
   ThreadId max_thread = 0;
-  for_each([&](ThreadId thread, ObjectId obj, ClassId klass, double bytes) {
-    bool fresh = false;
-    const std::int32_t slot = s.slots.get_or_assign(obj, fresh);
-    if (fresh) {
-      arena.objects.push_back(obj);
-      arena.klass.push_back(klass);
-      s.counts.push_back(0);
+  for (const OalArena* log : logs) {
+    for (const ArenaInterval& iv : log->intervals) {
+      for (std::uint32_t i = iv.begin; i < iv.end; ++i) {
+        const OalEntry& e = log->entries[i];
+        bool fresh = false;
+        const std::int32_t slot = s.slots.get_or_assign(e.obj, fresh);
+        if (fresh) {
+          arena.objects.push_back(e.obj);
+          arena.klass.push_back(e.klass);
+          s.counts.push_back(0);
+        }
+        ++s.counts[static_cast<std::size_t>(slot)];
+        max_thread = std::max(max_thread, iv.thread);
+        s.flat_slot.push_back(static_cast<std::uint32_t>(slot));
+        s.flat_reader.emplace_back(iv.thread, entry_bytes(e, weighted));
+      }
     }
-    ++s.counts[static_cast<std::size_t>(slot)];
-    max_thread = std::max(max_thread, thread);
-    s.flat_slot.push_back(static_cast<std::uint32_t>(slot));
-    s.flat_reader.emplace_back(thread, bytes);
-  });
+  }
 
   // Pass 2: prefix sums + scatter into the contiguous buffer (bucket sort).
   const std::size_t object_count = arena.objects.size();
@@ -128,79 +126,6 @@ ReaderArena reorganize_impl(ArenaScratch& s, std::size_t total_hint,
   // the next call).
   s.slots.release(arena.objects);
   return arena;
-}
-
-}  // namespace
-
-namespace {
-
-/// Reorganizes every slice of `logs`; `log_of` maps an element to its arena.
-template <typename Logs, typename LogOf>
-ReaderArena reorganize_logs(const Logs& logs, LogOf log_of, bool weighted,
-                            ArenaScratch& s) {
-  std::size_t total_entries = 0;
-  for (const auto& l : logs) total_entries += log_of(l).entries.size();
-  return reorganize_impl(s, total_entries, [&](auto&& emit) {
-    for (const auto& l : logs) {
-      const OalArena& log = log_of(l);
-      for (const ArenaInterval& iv : log.intervals) {
-        for (std::uint32_t i = iv.begin; i < iv.end; ++i) {
-          const OalEntry& e = log.entries[i];
-          emit(iv.thread, e.obj, e.klass, entry_bytes(e, weighted));
-        }
-      }
-    }
-  });
-}
-
-}  // namespace
-
-ReaderArena TcmBuilder::reorganize_arena(std::span<const OalArena> logs,
-                                         bool weighted, ArenaScratch& s) {
-  return reorganize_logs(
-      logs, [](const OalArena& l) -> const OalArena& { return l; }, weighted,
-      s);
-}
-
-ReaderArena TcmBuilder::reorganize_arena(std::span<const OalArena* const> logs,
-                                         bool weighted, ArenaScratch& s) {
-  return reorganize_logs(
-      logs, [](const OalArena* l) -> const OalArena& { return *l; }, weighted,
-      s);
-}
-
-ReaderArena TcmBuilder::reorganize_arena(std::span<const ArenaSliceRef> slices,
-                                         bool weighted, ArenaScratch& s) {
-  std::size_t total_entries = 0;
-  for (const ArenaSliceRef& ref : slices) {
-    const ArenaInterval& iv = ref.log->intervals[ref.slice];
-    total_entries += iv.end - iv.begin;
-  }
-  return reorganize_impl(s, total_entries, [&](auto&& emit) {
-    for (const ArenaSliceRef& ref : slices) {
-      const ArenaInterval& iv = ref.log->intervals[ref.slice];
-      for (std::uint32_t i = iv.begin; i < iv.end; ++i) {
-        const OalEntry& e = ref.log->entries[i];
-        emit(iv.thread, e.obj, e.klass, entry_bytes(e, weighted));
-      }
-    }
-  });
-}
-
-ReaderArena TcmBuilder::merge_arenas(const ReaderArena& a, const ReaderArena& b,
-                                     ArenaScratch& s) {
-  const auto feed = [](const ReaderArena& src, auto& emit) {
-    for (std::size_t k = 0; k < src.object_count(); ++k) {
-      for (const auto& [thread, bytes] : src.readers_of(k)) {
-        emit(thread, src.objects[k], src.klass[k], bytes);
-      }
-    }
-  };
-  return reorganize_impl(s, a.readers.size() + b.readers.size(),
-                         [&](auto&& emit) {
-                           feed(a, emit);
-                           feed(b, emit);
-                         });
 }
 
 // --- accrual ------------------------------------------------------------------

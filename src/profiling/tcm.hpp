@@ -19,8 +19,6 @@
 //    absorbs each window in place (readers max-combined per thread), ages
 //    stale objects out under a retention policy, and is accrued into pairs
 //    only when a whole-run map is asked for.
-//  * the distributed reducer (profiling/distributed_tcm.hpp) merges per-node
-//    arenas through the same bucket sort (`merge_arenas`).
 //
 // Byte weights are integer bytes x integer gaps, so every path produces the
 // same map bit for bit whatever the order of summation; tests hold them to
@@ -37,14 +35,6 @@
 #include "profiling/oal.hpp"
 
 namespace djvm {
-
-/// Reference to one interval slice inside an ingest log arena — the unit the
-/// distributed reducer buckets per node (a drained arena mixes slices from
-/// many threads, and with thread migration potentially many nodes).
-struct ArenaSliceRef {
-  const OalArena* log = nullptr;
-  std::uint32_t slice = 0;  ///< index into OalArena::intervals
-};
 
 /// OAL entries reorganized into a flat CSR arena: object k's deduplicated
 /// readers live in `readers[offsets[k] .. offsets[k+1])`, max-combined per
@@ -154,24 +144,8 @@ class TcmBuilder {
   /// sort, no per-object allocations).  Each slice provides the logging
   /// thread for its entry range.
   [[nodiscard]] static ReaderArena reorganize_arena(
-      std::span<const OalArena> logs, bool weighted, ArenaScratch& scratch);
-  [[nodiscard]] static ReaderArena reorganize_arena(
       std::span<const OalArena* const> logs, bool weighted,
       ArenaScratch& scratch);
-
-  /// Reorganize over individual arena slices (the distributed reducer's
-  /// per-node buckets of drained arenas).
-  [[nodiscard]] static ReaderArena reorganize_arena(
-      std::span<const ArenaSliceRef> slices, bool weighted,
-      ArenaScratch& scratch);
-
-  /// Merges two CSR arenas into one (reader lists union per object,
-  /// max-combining per thread) through the same bucket-sort machinery — the
-  /// reduction-tree step of the distributed reducer.  Byte values are
-  /// already weighted; they pass through untouched.
-  [[nodiscard]] static ReaderArena merge_arenas(const ReaderArena& a,
-                                                const ReaderArena& b,
-                                                ArenaScratch& scratch);
 
   /// Accrues an arena into an upper-triangular accumulator: cell (i, j)
   /// accumulates min(bytes_i, bytes_j) per object shared by threads i and j.

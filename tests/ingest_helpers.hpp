@@ -75,8 +75,8 @@ inline std::vector<OalArena> repack(std::span<const OalArena> logs,
   return out;
 }
 
-/// Pointer view of `logs`: the distributed reducer's input form (the form
-/// drained arenas arrive in).
+/// Pointer view of `logs`: TcmBuilder::reorganize_arena's input form (the
+/// form drained arenas arrive in).
 inline std::vector<const OalArena*> log_ptrs(std::span<const OalArena> logs) {
   std::vector<const OalArena*> out;
   out.reserve(logs.size());
@@ -90,7 +90,8 @@ inline SquareMatrix fold_map(std::span<const OalArena> logs,
                              std::uint32_t threads, bool weighted = true) {
   ArenaScratch scratch;
   return TcmBuilder::accrue_sparse(
-             TcmBuilder::reorganize_arena(logs, weighted, scratch), threads)
+             TcmBuilder::reorganize_arena(log_ptrs(logs), weighted, scratch),
+             threads)
       .densify();
 }
 
@@ -98,7 +99,8 @@ inline SquareMatrix fold_map(std::span<const OalArena> logs,
 /// window.
 inline void absorb_logs(TcmStore& store, std::span<const OalArena> logs,
                         ArenaScratch& scratch) {
-  store.absorb(TcmBuilder::reorganize_arena(logs, /*weighted=*/true, scratch));
+  store.absorb(
+      TcmBuilder::reorganize_arena(log_ptrs(logs), /*weighted=*/true, scratch));
 }
 
 /// The store's whole-run map.

@@ -22,8 +22,8 @@ TcmClassAttribution attribute(const std::vector<OalArena>& logs,
                               std::uint32_t threads) {
   ArenaScratch scratch;
   return TcmBuilder::attribute_cells(
-      TcmBuilder::reorganize_arena(logs, /*weighted=*/true, scratch), placement,
-      threads);
+      TcmBuilder::reorganize_arena(log_ptrs(logs), /*weighted=*/true, scratch),
+      placement, threads);
 }
 
 TEST(TcmClassAttribution, SplitsPairMassByClassAgainstPlacement) {

@@ -1,12 +1,11 @@
-// Common substrate: RNG determinism, matrices, stats, table formatting,
-// simulated clock and config summaries.
+// Common substrate: RNG determinism, matrices, stats, table formatting and
+// the simulated clock.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <sstream>
 
-#include "common/config.hpp"
 #include "common/matrix.hpp"
 #include "common/rng.hpp"
 #include "common/sim_clock.hpp"
@@ -145,17 +144,6 @@ TEST(SimCosts, TransferTimeMatchesBandwidth) {
 TEST(SimTime, Conversions) {
   EXPECT_EQ(sim_us(3), 3000u);
   EXPECT_EQ(sim_ms(2), 2000000u);
-}
-
-TEST(Config, SummaryMentionsKeyKnobs) {
-  Config cfg;
-  cfg.sampling_rate_x = 4;
-  cfg.oal_transfer = OalTransfer::kSend;
-  cfg.stack_sampling = true;
-  const std::string s = cfg.summary();
-  EXPECT_NE(s.find("rate=4X"), std::string::npos);
-  EXPECT_NE(s.find("oal=send"), std::string::npos);
-  EXPECT_NE(s.find("stack_gap=16ms"), std::string::npos);
 }
 
 TEST(Table, FormatsCells) {

@@ -33,6 +33,9 @@ HAS_MEMBER(retention_compact_period);
 HAS_MEMBER(snapshot_path);
 HAS_MEMBER(timeline_path);
 HAS_MEMBER(timeline_top_k);
+// Knobs nothing ever read, removed outright.
+HAS_MEMBER(tcm_epoch_intervals);
+HAS_MEMBER(footprint_min_gap);
 
 #undef HAS_MEMBER
 
@@ -47,6 +50,8 @@ TEST(ConfigCompat, FlatAliasesAreGone) {
   static_assert(!has_snapshot_path<Config>::value);
   static_assert(!has_timeline_path<Config>::value);
   static_assert(!has_timeline_top_k<Config>::value);
+  static_assert(!has_tcm_epoch_intervals<Config>::value);
+  static_assert(!has_footprint_min_gap<Config>::value);
   SUCCEED() << "all flat aliases removed from Config";
 }
 

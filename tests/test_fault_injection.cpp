@@ -1,8 +1,8 @@
 // Fault tolerance: the seeded fault injector's determinism and fault
 // dimensions, the reliable transport's retry/backoff accounting, degraded-
-// mode operation end to end (node failure -> quarantine, re-homing, thread
-// failover, degraded epochs), lost reduction-tree partials, and the fault
-// block of the JSONL timeline.
+// mode operation (dead-node slices dropped at ingest; node failure ->
+// quarantine, re-homing, thread failover, degraded epochs end to end), and
+// the fault block of the JSONL timeline.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -13,7 +13,6 @@
 #include "net/faults.hpp"
 #include "net/network.hpp"
 #include "profiling/accuracy.hpp"
-#include "profiling/distributed_tcm.hpp"
 
 #include "ingest_helpers.hpp"
 
@@ -263,44 +262,30 @@ TEST(ReliableTransport, NoInjectorMeansNoRetryArithmetic) {
   EXPECT_EQ(net.stats().total_retries(), 0u);
 }
 
-// --- lost reduction-tree partials --------------------------------------------
+// --- dead-node slices at ingest ----------------------------------------------
 
-TEST(DegradedReduce, DeadNodePartialIsSkippedAndReported) {
+TEST(DegradedIngest, DeadNodeSlicesLeaveExactlyTheSurvivorsMap) {
   // Thread n logs on node n: object 0 shared by all, object n + 1 private.
-  // Node 2 is dead, so its partial cannot ship.
+  // Node 2 is dead, so the daemon drops its slices at ingest.
   std::vector<OalArena> logs;
   for (NodeId n = 0; n < 3; ++n) {
     logs.push_back(interval_log(
         n, {{0, 0, 64, 1}, {static_cast<ObjectId>(n) + 1, 0, 32, 1}}, n));
   }
-  const std::vector<const OalArena*> ptrs = log_ptrs(logs);
-
-  FaultKnobs plan;
-  plan.enabled = true;
-  FaultInjector inj(plan);
-  inj.kill_node(2);
-  Network net(SimCosts{});
-  net.set_fault_injector(&inj);
-
-  std::vector<NodeId> lost;
-  const SquareMatrix map = DistributedTcmReducer::build(
-      ptrs, /*threads=*/3, /*weighted=*/false, /*threads_hw=*/1, &net, &lost);
-  ASSERT_EQ(lost.size(), 1u);
-  EXPECT_EQ(lost[0], 2);
-  EXPECT_EQ(map.size(), 3u);
+  KlassRegistry reg;
+  Heap heap(reg, 3);
+  SamplingPlan plan(heap);
+  ArenaFeeder feeder;  // outlives the daemon: drained arenas recycle into it
+  CorrelationDaemon daemon(plan, 3);
+  daemon.set_node_filter([](NodeId n) { return n != 2; });
+  feeder.feed(daemon, logs);
+  const SquareMatrix map = daemon.run_epoch().tcm;
   // Incomplete, not wrong: exactly the survivors' map.
   const std::vector<OalArena> survivors(logs.begin(), logs.begin() + 2);
-  const SquareMatrix survivor_ref = build_reference(survivors, 3, false);
+  const SquareMatrix survivor_ref = build_reference(survivors, 3);
   ASSERT_GT(survivor_ref.total(), 0.0);
   EXPECT_LT(absolute_error(map, survivor_ref), 1e-9);
-
-  // Fault-free, the same logs lose nothing.
-  Network clean(SimCosts{});
-  std::vector<NodeId> lost2;
-  const SquareMatrix full =
-      DistributedTcmReducer::build(ptrs, 3, false, 1, &clean, &lost2);
-  EXPECT_TRUE(lost2.empty());
-  EXPECT_LT(absolute_error(full, build_reference(logs, 3, false)), 1e-9);
+  EXPECT_DOUBLE_EQ(map.at(0, 2), 0.0);  // thread 2 shared object 0 on node 2
 }
 
 // --- degraded mode end to end ------------------------------------------------

@@ -89,7 +89,8 @@ TEST(TcmBuilder, ReorganizeGroupsByObject) {
   rs.push_back(rec(0, 0, {{1, 0, 10, 1}, {2, 0, 20, 1}}));
   rs.push_back(rec(1, 0, {{1, 0, 10, 1}}));
   ArenaScratch scratch;
-  const ReaderArena arena = TcmBuilder::reorganize_arena(rs, false, scratch);
+  const ReaderArena arena =
+      TcmBuilder::reorganize_arena(log_ptrs(rs), false, scratch);
   ASSERT_EQ(arena.object_count(), 2u);
   EXPECT_EQ(arena.objects[0], 1u);  // first-appearance order
   EXPECT_EQ(arena.readers_of(0).size(), 2u);

@@ -7,7 +7,6 @@
 #include <array>
 
 #include "common/rng.hpp"
-#include "profiling/distributed_tcm.hpp"
 #include "profiling/tcm.hpp"
 
 #include "ingest_helpers.hpp"
@@ -164,12 +163,6 @@ TEST(TcmRetention, MergeAfterCompactMatchesReference) {
   surviving.insert(surviving.end(), incoming.begin(), incoming.end());
   expect_maps_near(store_map(store), build_reference(surviving, kThreads),
                    "merge-after-compact vs reference");
-  // And the distributed reducer over the same surviving logs agrees —
-  // compaction composes with the reduction monoid.
-  expect_maps_near(store_map(store),
-                   DistributedTcmReducer::build(log_ptrs(surviving), kThreads,
-                                                /*weighted=*/true),
-                   "merge-after-compact vs distributed reducer");
 }
 
 TEST(TcmRetention, CapacityPlateausUnderChurn) {
