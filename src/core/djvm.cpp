@@ -11,6 +11,75 @@
 namespace djvm {
 
 namespace {
+/// Growth of one monotonic counter since the previous read.  A
+/// Gos::reset_stats() or Network::reset_stats() between reads restarts a
+/// counter below that read, and a thread migrating mid-epoch takes its clock
+/// out of its old node's sum; either way the value read now is the whole
+/// growth, where the unsigned subtraction would wrap.
+std::uint64_t grown(std::uint64_t now, std::uint64_t then) {
+  return now >= then ? now - then : now;
+}
+
+CategoryBytes grown(const CategoryBytes& now, const CategoryBytes& then) {
+  CategoryBytes out{};
+  for (std::size_t c = 0; c < out.size(); ++c) out[c] = grown(now[c], then[c]);
+  return out;
+}
+
+ProfilingCounters grown(const ProfilingCounters& now,
+                        const ProfilingCounters& then) {
+  return {grown(now.oal_entries, then.oal_entries),
+          grown(now.footprint_touches, then.footprint_touches),
+          grown(now.oal_send_ns, then.oal_send_ns),
+          grown(now.thread_clocks, then.thread_clocks),
+          grown(now.stack_cost, then.stack_cost)};
+}
+
+/// Every counter's growth from `then` to `now`.
+EpochCounters growth(const EpochCounters& now, const EpochCounters& then) {
+  EpochCounters d;
+  d.cluster = grown(now.cluster, then.cluster);
+  d.nodes.resize(now.nodes.size());
+  for (std::size_t n = 0; n < now.nodes.size(); ++n) {
+    d.nodes[n] = grown(now.nodes[n], n < then.nodes.size() ? then.nodes[n]
+                                                            : ProfilingCounters{});
+  }
+  d.traffic.bytes = grown(now.traffic.bytes, then.traffic.bytes);
+  d.traffic.messages = grown(now.traffic.messages, then.traffic.messages);
+  d.traffic.dropped = grown(now.traffic.dropped, then.traffic.dropped);
+  d.traffic.retries = grown(now.traffic.retries, then.traffic.retries);
+  d.traffic.backoff_ns = grown(now.traffic.backoff_ns, then.traffic.backoff_ns);
+  d.ingest.arenas_published =
+      grown(now.ingest.arenas_published, then.ingest.arenas_published);
+  d.ingest.entries_published =
+      grown(now.ingest.entries_published, then.ingest.entries_published);
+  d.ingest.backpressure_events =
+      grown(now.ingest.backpressure_events, then.ingest.backpressure_events);
+  return d;
+}
+
+/// Prices one slice's counter growth (the cluster's, or one node's): the
+/// worker CPU the GOS charged to thread clocks for profiling, rate-dependent
+/// (OAL log service, footprint re-arm touches, and OAL send time as
+/// Network::send charged it — latency, piggybacking and local delivery make
+/// a flat bytes-per-second price wrong both ways) and rate-independent
+/// (stack-sampler timers), and the application seconds left of the clocks'
+/// growth once that is taken back out.  One expression for every slice, so
+/// a one-node run's node slice equals its cluster slice bit for bit.
+template <typename Slice>
+void price(Slice& slice, const ProfilingCounters& d) {
+  slice.access_check_seconds =
+      (static_cast<double>(d.oal_entries) * static_cast<double>(kLogServiceCost) +
+       static_cast<double>(d.footprint_touches) *
+           static_cast<double>(kFootprintServiceCost)) *
+          1e-9 +
+      static_cast<double>(d.oal_send_ns) * 1e-9;
+  slice.fixed_seconds = static_cast<double>(d.stack_cost) * 1e-9;
+  slice.app_seconds =
+      std::max(0.0, static_cast<double>(d.thread_clocks) * 1e-9 -
+                        slice.access_check_seconds - slice.fixed_seconds);
+}
+
 /// Converts stack-sample work counters into simulated time (nanoseconds).
 SimTime stack_work_cost(const StackSampleWork& w) {
   return 200                                  // sampler entry / stack walk setup
@@ -111,10 +180,41 @@ void Djvm::pump_daemon() {
   daemon_.ingest(gos_->ingest());
 }
 
+EpochCounters Djvm::read_counters() const {
+  EpochCounters c;
+  const ProtocolStats& ps = gos_->stats();
+  c.cluster.oal_entries = ps.oal_entries;
+  c.cluster.footprint_touches = ps.footprint_touches;
+  c.cluster.oal_send_ns = ps.oal_send_ns;
+  c.cluster.stack_cost = stack_sampling_sim_cost_;
+  c.nodes.resize(cfg_.nodes);
+  for (std::uint32_t n = 0; n < cfg_.nodes; ++n) {
+    const auto node = static_cast<NodeId>(n);
+    const NodeProfilingStats& nps = gos_->node_stats(node);
+    ProfilingCounters& nc = c.nodes[n];
+    nc.oal_entries = nps.oal_entries;
+    nc.footprint_touches = nps.footprint_touches;
+    nc.oal_send_ns =
+        net_.node_traffic(node).send_ns[static_cast<std::size_t>(MsgCategory::kOal)];
+    nc.stack_cost = n < stack_cost_by_node_.size() ? stack_cost_by_node_[n] : 0;
+  }
+  for (ThreadId t = 0; t < thread_count(); ++t) {
+    const SimTime now = gos_->clock(t).now();
+    c.cluster.thread_clocks += now;
+    // A thread that migrated mid-epoch charges its whole clock to its
+    // current node — acceptable smear, since migration already implies the
+    // planner believes the work belongs there.
+    c.nodes[gos_->thread_node(t)].thread_clocks += now;
+  }
+  c.traffic = net_.stats();
+  c.ingest = gos_->ingest().counters();
+  return c;
+}
+
 EpochResult Djvm::run_epoch(const EpochRequest& request) {
+  // Fault tick: the fault schedule's epoch advances with the governor's;
+  // timed kills fire here, stall/partition windows key off the new value.
   if (fault_injector_) {
-    // The fault schedule's epoch advances with the governor's: timed kills
-    // fire here, stall/partition windows key off the new value.
     fault_injector_->begin_epoch(daemon_.epochs_run());
     const FaultKnobs& fplan = fault_injector_->plan();
     if (fplan.kill_node != kInvalidNode &&
@@ -124,22 +224,21 @@ EpochResult Djvm::run_epoch(const EpochRequest& request) {
     }
   }
 
-  // Hand the daemon the balancer's current co-location partition (where the
-  // threads actually run) so this epoch's window is attributed per class
-  // against it — the influence input of the governor's back-off scoring.
-  // Skipped entirely under kBytesPerEntry: the ablation path must not pay
-  // the attribution walk and planner run whose result its scoring ignores.
+  // Placement: hand the daemon the balancer's current co-location partition
+  // so this epoch's window is attributed per class against it — the
+  // influence input of the governor's back-off scoring, and the execution
+  // stage's planner input.  Skipped when neither runs (kBytesPerEntry
+  // scoring without execution must not pay the attribution walk).
+  const Governor& gov = daemon_.governor();
   const bool influence_loop =
-      daemon_.governor().mode() == GovernorMode::kClosedLoop &&
-      daemon_.governor().config().scoring ==
-          BackoffScoring::kInfluenceWeighted &&
+      gov.mode() == GovernorMode::kClosedLoop &&
+      gov.config().scoring == BackoffScoring::kInfluenceWeighted &&
       thread_count() > 0;
-  // The execution stage needs the planner (and so the placement and cell
-  // attribution) even when back-off scoring would ignore influence.
   const bool execute_stage =
       cfg_.balance.max_migrations_per_epoch > 0 && thread_count() > 0;
+  std::vector<NodeId> placement;
   if (influence_loop || execute_stage) {
-    std::vector<NodeId> placement = live_thread_nodes();
+    placement = live_thread_nodes();
     // Deferred planned moves override their threads' live nodes: attribution
     // and planning score the *intended* post-migration placement, so the
     // loop does not re-argue moves it already decided but has not yet run.
@@ -147,136 +246,53 @@ EpochResult Djvm::run_epoch(const EpochRequest& request) {
     for (const PlannedMove& p : planned_moves_) {
       if (p.thread < placement.size()) placement[p.thread] = p.to;
     }
-    daemon_.set_influence_placement(std::move(placement));
-  } else {
-    daemon_.set_influence_placement({});
   }
+  daemon_.set_influence_placement(std::move(placement));
 
+  // Pump, then one read of every counter; the epoch is priced from its
+  // growth since the previous epoch's read.
   pump_daemon();
+  const EpochCounters now = read_counters();
+  const EpochCounters grown = growth(now, counters_);
+  counters_ = now;
 
-  const ProtocolStats& ps = gos_->stats();
-  const std::uint32_t nodes = cfg_.nodes;
-  SimTime sim_total = 0;
-  std::vector<SimTime> node_sim(nodes, 0);
-  for (ThreadId t = 0; t < thread_count(); ++t) {
-    const SimTime now = gos_->clock(t).now();
-    sim_total += now;
-    // A thread that migrated mid-epoch charges its whole clock to its
-    // current node — acceptable smear, since migration already implies the
-    // planner believes the work belongs there.
-    node_sim[gos_->thread_node(t)] += now;
-  }
-
-  // A Gos::reset_stats() between pumps restarts the counters below the
-  // snapshot; treat the restarted value as the whole delta instead of
-  // letting the unsigned subtraction wrap.
-  const auto delta = [](std::uint64_t now, std::uint64_t then) {
-    return now >= then ? now - then : now;
-  };
-
+  // Sample: last epoch's plan-and-execute stage and the request's billed
+  // share (a cluster arbiter's decision time) are coordinator work; the
+  // daemon adds this epoch's map construction on top.  Each node's slice
+  // prices its own counters against its own application progress, so one
+  // hot node cannot hide behind the cluster average.
   OverheadSample s;
   s.measured = true;
   s.tenant = cfg_.tenant.id;
-  // Last epoch's balancer-feedback run (attribution consumer + migration
-  // planner) and execution stage (sticky resolution, prefetch, home-move
-  // bookkeeping) are coordinator work; the daemon adds this epoch's map
-  // construction on top (OverheadSample::build_seconds is additive).  The
-  // migration bucket is what lets the governor veto the next batch when
-  // executing migrations itself pushes the budget.  The request's billed
-  // coordinator share (a cluster arbiter's decision time) rides the same
-  // bucket.
-  s.build_seconds = planner_carry_seconds_ + migration_carry_seconds_ +
-                    request.coordinator_seconds;
-  planner_carry_seconds_ = 0.0;
-  migration_carry_seconds_ = 0.0;
-  // Worker CPU the GOS charged to thread clocks for profiling this epoch:
-  // rate-dependent (OAL log service, footprint re-arm touches) vs
-  // rate-independent (stack-sampler timers).
-  s.access_check_seconds =
-      (static_cast<double>(delta(ps.oal_entries, pump_snapshot_.oal_entries)) *
-           static_cast<double>(kLogServiceCost) +
-       static_cast<double>(
-           delta(ps.footprint_touches, pump_snapshot_.footprint_touches)) *
-           static_cast<double>(kFootprintServiceCost)) *
-      1e-9;
-  s.fixed_seconds =
-      static_cast<double>(stack_sampling_sim_cost_ - pump_snapshot_.stack_cost) *
-      1e-9;
-  // OAL wire cost as Network::send actually charged it to thread clocks
-  // (latency, piggybacking, and local delivery make a flat bytes/s model
-  // wrong in both directions); fold the measured time into the
-  // rate-dependent CPU bucket rather than re-pricing bytes in the meter.
-  s.access_check_seconds +=
-      static_cast<double>(delta(ps.oal_send_ns, pump_snapshot_.oal_send_ns)) *
-      1e-9;
-  // The thread-clock delta includes the profiling time charged above;
-  // subtract it so the fraction denominator is application seconds, not
-  // app + profiling.
-  const double clock_delta =
-      static_cast<double>(sim_total - pump_snapshot_.thread_sim_total) * 1e-9;
-  s.app_seconds =
-      std::max(0.0, clock_delta - s.access_check_seconds - s.fixed_seconds);
-
-  // Per-node slices of the same accounting: each node's profiling cost over
-  // each node's own application progress, so one hot node cannot hide
-  // behind the cluster average.
-  pump_snapshot_.node_oal_entries.resize(nodes, 0);
-  pump_snapshot_.node_fp_touches.resize(nodes, 0);
-  pump_snapshot_.node_oal_send_ns.resize(nodes, 0);
-  pump_snapshot_.node_sim_total.resize(nodes, 0);
-  pump_snapshot_.node_stack_cost.resize(nodes, 0);
-  stack_cost_by_node_.resize(std::max<std::size_t>(stack_cost_by_node_.size(), nodes), 0);
-  s.nodes.resize(nodes);
-  const auto kOalIdx = static_cast<std::size_t>(MsgCategory::kOal);
-  for (std::uint32_t n = 0; n < nodes; ++n) {
-    const NodeProfilingStats& nps = gos_->node_stats(static_cast<NodeId>(n));
-    const std::uint64_t send_ns =
-        net_.node_traffic(static_cast<NodeId>(n)).send_ns[kOalIdx];
-    NodeOverheadSample& ns = s.nodes[n];
-    ns.node = static_cast<NodeId>(n);
-    ns.access_check_seconds =
-        (static_cast<double>(
-             delta(nps.oal_entries, pump_snapshot_.node_oal_entries[n])) *
-             static_cast<double>(kLogServiceCost) +
-         static_cast<double>(
-             delta(nps.footprint_touches, pump_snapshot_.node_fp_touches[n])) *
-             static_cast<double>(kFootprintServiceCost) +
-         static_cast<double>(
-             delta(send_ns, pump_snapshot_.node_oal_send_ns[n]))) *
-        1e-9;
-    ns.fixed_seconds =
-        static_cast<double>(stack_cost_by_node_[n] -
-                            pump_snapshot_.node_stack_cost[n]) *
-        1e-9;
-    // Thread migration moves a whole clock between node sums mid-epoch, so
-    // the source node's sum can drop below its snapshot: clamp through the
-    // same guard as the restartable counters instead of wrapping (one smeared
-    // epoch; the window absorbs it).
-    const double node_clock_delta =
-        static_cast<double>(delta(node_sim[n], pump_snapshot_.node_sim_total[n])) *
-        1e-9;
-    ns.app_seconds = std::max(
-        0.0, node_clock_delta - ns.access_check_seconds - ns.fixed_seconds);
-
-    pump_snapshot_.node_oal_entries[n] = nps.oal_entries;
-    pump_snapshot_.node_fp_touches[n] = nps.footprint_touches;
-    pump_snapshot_.node_oal_send_ns[n] = send_ns;
-    pump_snapshot_.node_sim_total[n] = node_sim[n];
-    pump_snapshot_.node_stack_cost[n] = stack_cost_by_node_[n];
+  s.build_seconds = plan_carry_seconds_ + request.coordinator_seconds;
+  plan_carry_seconds_ = 0.0;
+  price(s, grown.cluster);
+  s.nodes.resize(cfg_.nodes);
+  for (std::uint32_t n = 0; n < cfg_.nodes; ++n) {
+    s.nodes[n].node = static_cast<NodeId>(n);
+    price(s.nodes[n], grown.nodes[n]);
   }
-
-  pump_snapshot_.oal_entries = ps.oal_entries;
-  pump_snapshot_.footprint_touches = ps.footprint_touches;
-  pump_snapshot_.oal_send_ns = ps.oal_send_ns;
-  pump_snapshot_.thread_sim_total = sim_total;
-  pump_snapshot_.stack_cost = stack_sampling_sim_cost_;
+  // Every backpressure event parked an arena on a worker thread: rate-
+  // dependent worker CPU like the log service itself, billed after the
+  // application seconds (the clocks never carried it).
+  s.access_check_seconds +=
+      static_cast<double>(grown.ingest.backpressure_events) *
+      kRingBackpressureSeconds;
 
   EpochResult result = daemon_.run_epoch(s);
 
+  // Telemetry: the daemon never sees the network or the hub.
+  result.traffic_bytes = grown.traffic.bytes;
+  result.dropped_msgs = grown.traffic.dropped;
+  result.retries = grown.traffic.retries;
+  result.backoff_ns = grown.traffic.total_backoff_ns();
+  result.ring_published = grown.ingest.arenas_published;
+  result.ring_entries = grown.ingest.entries_published;
+  result.ring_backpressure = grown.ingest.backpressure_events;
   if (fault_injector_) {
     // Name the nodes whose profiling contribution this epoch's map is
     // missing: dead nodes lost their un-shipped slices (see pump_daemon).
-    for (std::uint32_t n = 0; n < nodes; ++n) {
+    for (std::uint32_t n = 0; n < cfg_.nodes; ++n) {
       if (fault_injector_->node_dead(static_cast<NodeId>(n))) {
         result.lost_nodes.push_back(static_cast<NodeId>(n));
       }
@@ -284,103 +300,76 @@ EpochResult Djvm::run_epoch(const EpochRequest& request) {
     result.degraded = !result.lost_nodes.empty();
   }
 
-  // Per-category network traffic deltas for the timeline: TrafficStats has
-  // always split bytes by MsgCategory, but nothing reported the breakdown —
-  // DSM-protocol vs profiling traffic was invisible per epoch.
-  const TrafficStats& ts = net_.stats();
-  for (std::size_t c = 0; c < result.traffic_bytes.size(); ++c) {
-    result.traffic_bytes[c] = delta(ts.bytes[c], pump_snapshot_.cat_bytes[c]);
-    pump_snapshot_.cat_bytes[c] = ts.bytes[c];
-    result.dropped_msgs[c] = delta(ts.dropped[c], pump_snapshot_.cat_dropped[c]);
-    pump_snapshot_.cat_dropped[c] = ts.dropped[c];
-    result.retries[c] = delta(ts.retries[c], pump_snapshot_.cat_retries[c]);
-    pump_snapshot_.cat_retries[c] = ts.retries[c];
-  }
-  result.backoff_ns = delta(ts.total_backoff_ns(), pump_snapshot_.backoff_ns);
-  pump_snapshot_.backoff_ns = ts.total_backoff_ns();
-  pump_snapshot_.node_cat_bytes.resize(nodes);
-  result.node_traffic_bytes.resize(nodes);
-  for (std::uint32_t n = 0; n < nodes; ++n) {
-    const NodeTraffic& nt = net_.node_traffic(static_cast<NodeId>(n));
-    for (std::size_t c = 0; c < result.traffic_bytes.size(); ++c) {
-      result.node_traffic_bytes[n][c] =
-          delta(nt.bytes[c], pump_snapshot_.node_cat_bytes[n][c]);
-      pump_snapshot_.node_cat_bytes[n][c] = nt.bytes[c];
-    }
+  // Plan and execute, billed to the *next* epoch's sample (this epoch's
+  // decision already ran), same carryover pattern as resampling cost.
+  if ((influence_loop || execute_stage) && !result.cells.empty()) {
+    plan_carry_seconds_ = plan_and_execute(result, influence_loop, execute_stage);
   }
 
+  // Export: the encode and the line render run here (epoch state is ours to
+  // read synchronously), the file writes on the background thread.  Every
+  // epoch snapshots for crash recovery, and a still-queued older snapshot is
+  // simply replaced; timeline lines are batched under disk pressure, never
+  // coalesced away.
+  if (request.export_outputs && snapshot_writer_) {
+    if (!cfg_.export_.snapshot_path.empty()) {
+      snapshot_writer_->save_async(cfg_.export_.snapshot_path,
+                                   daemon_.governor(), daemon_.latest());
+    }
+    if (!cfg_.export_.timeline_path.empty()) {
+      snapshot_writer_->append_async(
+          cfg_.export_.timeline_path,
+          timeline_line(result, daemon_.governor(), registry_,
+                        cfg_.export_.timeline_top_k, cfg_.tenant.id));
+    }
+  }
+  return result;
+}
+
+double Djvm::plan_and_execute(EpochResult& result, bool influence,
+                              bool execute) {
+  const auto t0 = std::chrono::steady_clock::now();
   // Close the balancer -> governor loop: run the migration planner over the
   // fresh map, condense cut shares + accepted suggestions + remote-home mass
   // into per-class influence, and let the governor's next back-off weight
   // its benefit/cost scores by it.  One epoch of lag by construction (this
   // epoch's decision used last epoch's influence); the governor's
   // exponential-decay memory is what makes that sound.
-  if ((influence_loop || execute_stage) && !result.cells.empty()) {
-    const auto planner_t0 = std::chrono::steady_clock::now();
-    // The map's dimension is cfg_.threads (fixed at daemon construction);
-    // the planner indexes node_of_thread up to it, so pad past the spawned
-    // threads with kInvalidNode — the planner skips unplaced threads
-    // entirely, so filler neither migrates nor occupies a node's capacity.
-    const Placement current =
-        assemble_placement(daemon_.influence_placement(), result.tcm.size());
-    // Context bytes come from the stacks (always live); sticky-set
-    // footprints only exist when footprinting is on.  Missing entries fall
-    // back to the planner's defaults.
-    std::vector<ClassFootprint> footprints;
-    std::vector<std::uint64_t> contexts(thread_count(), 1024);
+  //
+  // The map's dimension is cfg_.threads (fixed at daemon construction); the
+  // planner indexes node_of_thread up to it, so pad past the spawned threads
+  // with kInvalidNode — the planner skips unplaced threads entirely, so
+  // filler neither migrates nor occupies a node's capacity.
+  const Placement current =
+      assemble_placement(daemon_.influence_placement(), result.tcm.size());
+  // Context bytes come from the stacks (always live); sticky-set footprints
+  // only exist when footprinting is on.  Missing entries fall back to the
+  // planner's defaults.
+  std::vector<ClassFootprint> footprints;
+  std::vector<std::uint64_t> contexts(thread_count(), 1024);
+  for (ThreadId t = 0; t < thread_count(); ++t) {
+    // Threads spawned through gos().spawn_thread() directly have no stack
+    // here (same guard as the interval-close hook): planner default.
+    if (t < stacks_.size()) contexts[t] = stacks_[t].context_bytes() + 1024;
+  }
+  if (cfg_.footprinting) {
+    footprints.resize(thread_count());
     for (ThreadId t = 0; t < thread_count(); ++t) {
-      // Threads spawned through gos().spawn_thread() directly have no stack
-      // here (same guard as the interval-close hook): planner default.
-      if (t < stacks_.size()) contexts[t] = stacks_[t].context_bytes() + 1024;
+      footprints[t] = fptracker_.footprint(t);
     }
-    if (cfg_.footprinting) {
-      footprints.resize(thread_count());
-      for (ThreadId t = 0; t < thread_count(); ++t) {
-        footprints[t] = fptracker_.footprint(t);
-      }
-    }
-    const std::vector<MigrationSuggestion> suggestions = plan_migrations(
-        result.tcm, current, footprints, contexts, cost_model(), cfg_.nodes,
-        cfg_.costs.bytes_per_ns, /*slack=*/1);
-    if (execute_stage) {
-      result.migration_seconds =
-          execute_migrations(result, suggestions, footprints);
-      migration_carry_seconds_ += result.migration_seconds;
-    }
-    if (influence_loop) {
-      daemon_.governor().observe_balancer_feedback(
-          build_balancer_feedback(result.cells, suggestions));
-    }
-    // Coordinator work like the map build itself: billed to the *next*
-    // epoch's sample (this epoch's decision already ran), same carryover
-    // pattern as resampling cost.  The execution stage's share is carried
-    // in its own bucket above, not double-billed here.
-    planner_carry_seconds_ =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      planner_t0)
-            .count() -
-        result.migration_seconds;
   }
-
-  if (request.export_outputs && snapshot_writer_ &&
-      !cfg_.export_.snapshot_path.empty()) {
-    // Every epoch snapshots for crash recovery; the encode runs here (state
-    // is ours to read synchronously), the file write on the background
-    // thread, and a still-queued older snapshot is simply replaced.
-    snapshot_writer_->save_async(cfg_.export_.snapshot_path, daemon_.governor(),
-                                 daemon_.latest());
+  const std::vector<MigrationSuggestion> suggestions = plan_migrations(
+      result.tcm, current, footprints, contexts, cost_model(), cfg_.nodes,
+      cfg_.costs.bytes_per_ns, /*slack=*/1);
+  if (execute) {
+    result.migration_seconds = execute_migrations(result, suggestions, footprints);
   }
-  if (request.export_outputs && snapshot_writer_ &&
-      !cfg_.export_.timeline_path.empty()) {
-    // The line renders here (epoch state is ours to read synchronously);
-    // the append happens on the background thread, batched under disk
-    // pressure, never coalesced away.
-    snapshot_writer_->append_async(
-        cfg_.export_.timeline_path,
-        timeline_line(result, daemon_.governor(), registry_,
-                      cfg_.export_.timeline_top_k, cfg_.tenant.id));
+  if (influence) {
+    daemon_.governor().observe_balancer_feedback(
+        build_balancer_feedback(result.cells, suggestions));
   }
-  return result;
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+      .count();
 }
 
 void Djvm::fail_node(NodeId node) {

@@ -48,7 +48,8 @@ using IntervalObserver = std::function<void(ThreadId)>;
 struct EpochRequest {
   /// Coordinator seconds spent outside the facade on this tenant's behalf
   /// this epoch (e.g. the cluster arbiter's billed decision share); folded
-  /// into the sample's coordinator bucket exactly like the planner carry.
+  /// into the sample's coordinator bucket exactly like the plan-and-execute
+  /// carry.
   double coordinator_seconds = 0.0;
   /// When false, skip this epoch's snapshot/timeline export even when the
   /// Config enables it (a cluster coordinator exporting its own merged
@@ -66,6 +67,26 @@ struct EpochRequest {
 };
 
 class TenantContext;
+
+/// One slice (the cluster, or one node) of the counters an epoch's overhead
+/// sample is priced from.  Each grows monotonically between stats resets,
+/// except a node's clock sum, which drops when a thread migrates away.
+struct ProfilingCounters {
+  std::uint64_t oal_entries = 0;        ///< OAL log-service entries
+  std::uint64_t footprint_touches = 0;  ///< footprint re-arm touches
+  std::uint64_t oal_send_ns = 0;        ///< OAL send time charged to clocks
+  SimTime thread_clocks = 0;            ///< summed thread clocks
+  SimTime stack_cost = 0;               ///< stack-sampler work
+};
+
+/// Every monotonic counter Djvm::run_epoch reads, once per epoch right after
+/// the pump; the epoch's sample and telemetry come from its growth.
+struct EpochCounters {
+  ProfilingCounters cluster;
+  std::vector<ProfilingCounters> nodes;  ///< indexed by NodeId
+  TrafficStats traffic;
+  IngestCounters ingest;
+};
 
 /// The whole distributed JVM.
 class Djvm final : public Gos::Hooks {
@@ -122,15 +143,16 @@ class Djvm final : public Gos::Hooks {
   /// before pump_daemon() (whatever they pop, the daemon never sees).
   [[nodiscard]] IngestHub* ingest_hub() noexcept { return &gos_->ingest(); }
 
-  /// The per-epoch governor pump: drains the ingest lanes, assembles the
-  /// epoch's overhead sample — cluster aggregate plus one per-node slice per
-  /// worker node, from per-node GOS counters, per-source network accounting,
-  /// and per-node thread-clock deltas since the previous pump, stamped with
-  /// this Config's tenant id — and runs one daemon epoch under the governor.
-  /// Call once per epoch (e.g. after each barrier round).  With
-  /// Config::export_.snapshot_path set (and the request's exports on), the
-  /// epoch's governor state + TCM are handed to the async snapshot writer
-  /// afterwards.
+  /// The per-epoch governor pump: drains the ingest lanes, reads every
+  /// monotonic counter once (EpochCounters) and diffs it against the
+  /// previous epoch's read, prices the growth into the epoch's overhead
+  /// sample — cluster aggregate plus one per-node slice per worker node,
+  /// stamped with this Config's tenant id — and runs one daemon epoch under
+  /// the governor.  The same growth fills the result's traffic, fault and
+  /// ring telemetry.  Call once per epoch (e.g. after each barrier round).
+  /// With Config::export_.snapshot_path set (and the request's exports on),
+  /// the epoch's governor state + TCM are handed to the async snapshot
+  /// writer afterwards.
   ///
   /// With Config::balance.max_migrations_per_epoch > 0 the pump closes the
   /// plan→execute→re-key→refeed loop: after the migration planner runs, the
@@ -237,6 +259,12 @@ class Djvm final : public Gos::Hooks {
     double score = 0.0;
   };
 
+  /// The plan-and-execute stage of run_epoch: runs the migration planner
+  /// over the epoch's map, executes its suggestions when `execute` is set,
+  /// folds them into the governor's influence feedback when `influence` is
+  /// set, and returns the stage's real seconds.
+  double plan_and_execute(EpochResult& result, bool influence, bool execute);
+
   /// The execution stage of run_epoch (see Config::balance):
   /// applies deferred planned moves and fresh admitted suggestions under
   /// the cap/min-score/cooldown/veto/dry-run knobs, records events into
@@ -245,44 +273,22 @@ class Djvm final : public Gos::Hooks {
                             const std::vector<MigrationSuggestion>& suggestions,
                             const std::vector<ClassFootprint>& footprints);
 
+  /// Reads every monotonic counter an epoch is priced from.
+  [[nodiscard]] EpochCounters read_counters() const;
+
   std::vector<AccessObserver> access_observers_;
   std::vector<IntervalObserver> interval_observers_;
   std::vector<std::vector<ObjectId>> last_invariants_;
   std::vector<PlannedMove> planned_moves_;
-  /// Real seconds last epoch's balancer-feedback run cost (migration
-  /// planner + feedback fold); billed into the next epoch's coordinator
-  /// bucket, the same carryover pattern as resampling.
-  double planner_carry_seconds_ = 0.0;
-  /// Same carryover for the execution stage's real seconds (resolution,
-  /// prefetch, home-migration bookkeeping) — its own bucket so the governor
-  /// can see migration work push the budget and veto the next batch.
-  double migration_carry_seconds_ = 0.0;
+  /// Real seconds last epoch's plan-and-execute stage cost (planner,
+  /// feedback fold, migration execution); coordinator work billed into the
+  /// next epoch's sample, the same carryover pattern as resampling.
+  double plan_carry_seconds_ = 0.0;
   SimTime stack_sampling_sim_cost_ = 0;
   /// Stack-sampler cost attributed to the node the sampled thread ran on.
   std::vector<SimTime> stack_cost_by_node_;
-
-  /// Counters at the previous run_epoch, for per-epoch deltas.
-  struct PumpSnapshot {
-    std::uint64_t oal_entries = 0;
-    std::uint64_t footprint_touches = 0;
-    std::uint64_t oal_send_ns = 0;
-    SimTime thread_sim_total = 0;
-    SimTime stack_cost = 0;
-    // Per-node slices of the same counters (indexed by NodeId).
-    std::vector<std::uint64_t> node_oal_entries;
-    std::vector<std::uint64_t> node_fp_touches;
-    std::vector<std::uint64_t> node_oal_send_ns;
-    std::vector<SimTime> node_sim_total;
-    std::vector<SimTime> node_stack_cost;
-    // Per-category network byte counters (cluster and per source node), for
-    // the EpochResult/timeline traffic breakdown.
-    CategoryBytes cat_bytes{};
-    std::vector<CategoryBytes> node_cat_bytes;
-    // Fault-plan transport counters (drops, retries, backoff wait).
-    CategoryBytes cat_dropped{};
-    CategoryBytes cat_retries{};
-    std::uint64_t backoff_ns = 0;
-  } pump_snapshot_;
+  /// The counters as run_epoch last read them.
+  EpochCounters counters_;
 };
 
 /// A tenant's session handle over one Djvm: the first-class surface a

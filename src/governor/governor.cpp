@@ -70,34 +70,10 @@ void Governor::arm(GovernorConfig cfg) {
   reset_controller_state(GovernorState::kAdapting);
 }
 
-void Governor::arm_legacy(double threshold) {
-  cfg_.distance_threshold = threshold;
-  cfg_.legacy_one_way = true;
-  mode_ = GovernorMode::kLegacyOneWay;
-  reset_controller_state(GovernorState::kAdapting);
-}
-
 void Governor::disarm() {
   // Keeps the terminal state: the seed API reported converged() == true
   // even after adaptation was switched off, and callers freeze-then-poll.
   mode_ = GovernorMode::kDisarmed;
-}
-
-void Governor::reset() {
-  switch (mode_) {
-    case GovernorMode::kDisarmed:
-      // Unlike disarm() (freeze: terminal state stays pollable), a reset
-      // discards convergence progress and measurements even when nothing
-      // is armed — symmetric with the armed branches re-arming below.
-      reset_controller_state(GovernorState::kIdle);
-      break;
-    case GovernorMode::kLegacyOneWay:
-      arm_legacy(cfg_.distance_threshold);
-      break;
-    case GovernorMode::kClosedLoop:
-      arm(cfg_);
-      break;
-  }
 }
 
 Governor::EpochOutcome Governor::on_epoch(std::optional<double> rel_distance,

@@ -149,8 +149,7 @@ struct GovernorConfig {
   bool legacy_one_way = false;
 
   /// Config for the paper's Section II.B.2 one-way convergence loop at
-  /// `threshold` — the migration target for the retired
-  /// CorrelationDaemon::enable_adaptation / Governor::arm_legacy APIs.
+  /// `threshold`.
   [[nodiscard]] static GovernorConfig legacy(double threshold) {
     GovernorConfig cfg;
     cfg.distance_threshold = threshold;
@@ -176,9 +175,6 @@ class Governor {
   /// or window).
   void arm(GovernorConfig cfg);
   void disarm();
-  /// Re-arms in the current mode with the current config, discarding
-  /// convergence progress (the daemon's clear() path); no-op when disarmed.
-  void reset();
 
   [[nodiscard]] GovernorMode mode() const noexcept { return mode_; }
   [[nodiscard]] GovernorState state() const noexcept { return state_; }
@@ -244,7 +240,7 @@ class Governor {
   static constexpr std::size_t kMigrationHistoryCap = 256;
 
   /// Appends one executed migration to the bounded history and stamps the
-  /// thread's cooldown epoch.  Survives reset()/re-arm (it is a run log, not
+  /// thread's cooldown epoch.  Survives re-arming (it is a run log, not
   /// controller state) and is persisted by snapshots.
   void record_migration(const ExecutedMigration& m);
   /// Executed-migration history, oldest first (at most kMigrationHistoryCap).
@@ -308,7 +304,7 @@ class Governor {
   /// it is excluded from the cluster-tighten quorum, so a dead node can
   /// neither attract per-node back-offs nor hold the whole cluster's rates
   /// hostage by never reporting "under budget" again.  Quarantine is
-  /// substrate state, not convergence progress: it survives reset()/re-arm
+  /// substrate state, not convergence progress: it survives re-arming
   /// (like the migration history) and is not persisted in snapshots — a
   /// recovered run re-detects its failures.
   void quarantine_node(NodeId node);
@@ -341,12 +337,9 @@ class Governor {
  private:
   friend struct SnapshotAccess;  // snapshot.cpp (de)serializes private state
 
-  /// Restarts the meter and wipes convergence progress; every (re)arm path
-  /// and the disarmed reset() branch funnel through here.
+  /// Restarts the meter and wipes convergence progress; every (re)arm
+  /// funnels through here.
   void reset_controller_state(GovernorState state);
-  /// One-way convergence at `threshold` (arm() routes here via
-  /// GovernorConfig::legacy_one_way; reset() re-arms through it).
-  void arm_legacy(double threshold);
   EpochOutcome legacy_step(std::optional<double> rel_distance);
   EpochOutcome closed_loop_step(std::optional<double> rel_distance,
                                 bool budget_known);

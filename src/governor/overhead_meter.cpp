@@ -10,7 +10,6 @@ OverheadMeter::OverheadMeter(OverheadCosts costs, std::size_t window)
 namespace {
 double reducible_seconds(const OverheadSample& sample, const OverheadCosts& costs) {
   return sample.access_check_seconds +
-         static_cast<double>(sample.wire_bytes) * costs.seconds_per_wire_byte +
          static_cast<double>(sample.resampled_objects) *
              costs.seconds_per_resampled_object;
 }
@@ -34,7 +33,6 @@ void OverheadMeter::record(const OverheadSample& sample) {
   e.app_seconds = sample.app_seconds;
   e.reducible_seconds = reducible_seconds(sample, costs_);
   e.fixed_seconds = sample.fixed_seconds;
-  e.build_seconds = sample.build_seconds;
   e.signal = sample.app_seconds > 0.0;
 
   // Grow this tenant's node table first so every node it has ever reported
@@ -54,7 +52,6 @@ void OverheadMeter::record(const OverheadSample& sample) {
     ne.app_seconds += ns.app_seconds;
     ne.reducible_seconds +=
         ns.access_check_seconds +
-        static_cast<double>(ns.wire_bytes) * costs_.seconds_per_wire_byte +
         static_cast<double>(ns.resampled_objects) *
             costs_.seconds_per_resampled_object;
     ne.fixed_seconds += ns.fixed_seconds;
@@ -79,24 +76,9 @@ const OverheadMeter::TenantWindow* OverheadMeter::window_for(
 // ran nothing.  Such epochs are skipped; a window with no signal reads 0.
 
 namespace {
-/// Sums prof/app over the signal-carrying entries of one window and divides;
-/// `pick` selects which seconds of an entry count as profiling.
-template <typename Pick>
-double window_fraction(const std::vector<OverheadMeter::Entry>& ring,
-                       std::size_t filled, Pick pick) {
-  double prof = 0.0, app = 0.0;
-  bool any = false;
-  for (std::size_t i = 0; i < filled; ++i) {
-    if (!ring[i].signal) continue;
-    any = true;
-    prof += pick(ring[i]);
-    app += ring[i].app_seconds;
-  }
-  return any && app > 0.0 ? prof / app : 0.0;
-}
-
-/// Accumulates prof/app over the signal slots of one window (for the
-/// cross-tenant aggregates, which divide once at the end).
+/// Accumulates prof/app over the signal slots of one window; `pick` selects
+/// which seconds of an entry count as profiling.  Callers divide once at the
+/// end, so cross-tenant aggregates sum several windows first.
 template <typename Pick>
 void window_sums(const std::vector<OverheadMeter::Entry>& ring,
                  std::size_t filled, Pick pick, double& prof, double& app,
@@ -145,30 +127,16 @@ double OverheadMeter::rolling_reducible_fraction() const {
   return any && app > 0.0 ? prof / app : 0.0;
 }
 
-double OverheadMeter::coordinator_fraction() const {
-  double prof = 0.0, app = 0.0;
-  bool any = false;
-  for (const TenantWindow& tw : tenants_) {
-    window_sums(tw.ring, tw.filled,
-                [](const Entry& e) { return e.build_seconds; }, prof, app,
-                any);
-  }
-  return any && app > 0.0 ? prof / app : 0.0;
-}
-
 double OverheadMeter::rolling_fraction(TenantId tenant) const {
   const TenantWindow* tw = window_for(tenant);
   if (tw == nullptr) return 0.0;
-  return window_fraction(tw->ring, tw->filled, [](const Entry& e) {
-    return e.reducible_seconds + e.fixed_seconds;
-  });
-}
-
-double OverheadMeter::rolling_reducible_fraction(TenantId tenant) const {
-  const TenantWindow* tw = window_for(tenant);
-  if (tw == nullptr) return 0.0;
-  return window_fraction(tw->ring, tw->filled,
-                         [](const Entry& e) { return e.reducible_seconds; });
+  double prof = 0.0, app = 0.0;
+  bool any = false;
+  window_sums(
+      tw->ring, tw->filled,
+      [](const Entry& e) { return e.reducible_seconds + e.fixed_seconds; },
+      prof, app, any);
+  return any && app > 0.0 ? prof / app : 0.0;
 }
 
 std::size_t OverheadMeter::node_count() const noexcept {
@@ -208,15 +176,6 @@ double OverheadMeter::node_epoch_fraction(NodeId node) const {
   return node_epoch_fraction(last_tenant_, node);
 }
 
-double OverheadMeter::node_rolling_fraction(TenantId tenant,
-                                            NodeId node) const {
-  const TenantWindow* tw = window_for(tenant);
-  if (tw == nullptr || node >= tw->node_rings.size()) return 0.0;
-  return window_fraction(tw->node_rings[node], tw->filled, [](const Entry& e) {
-    return e.reducible_seconds + e.fixed_seconds;
-  });
-}
-
 double OverheadMeter::node_epoch_fraction(TenantId tenant, NodeId node) const {
   const TenantWindow* tw = window_for(tenant);
   if (tw == nullptr || node >= tw->node_rings.size() || tw->filled == 0) {
@@ -233,21 +192,6 @@ std::optional<NodeId> OverheadMeter::worst_node() const {
   const std::size_t nodes = node_count();
   for (std::size_t n = 0; n < nodes; ++n) {
     const double f = node_rolling_fraction(static_cast<NodeId>(n));
-    if (f > worst_frac) {
-      worst_frac = f;
-      worst = static_cast<NodeId>(n);
-    }
-  }
-  return worst;
-}
-
-std::optional<NodeId> OverheadMeter::worst_node(TenantId tenant) const {
-  const TenantWindow* tw = window_for(tenant);
-  if (tw == nullptr) return std::nullopt;
-  std::optional<NodeId> worst;
-  double worst_frac = -1.0;
-  for (std::size_t n = 0; n < tw->node_rings.size(); ++n) {
-    const double f = node_rolling_fraction(tenant, static_cast<NodeId>(n));
     if (f > worst_frac) {
       worst_frac = f;
       worst = static_cast<NodeId>(n);

@@ -1,19 +1,20 @@
 // Rolling profiling-overhead meter for the closed-loop governor.
 //
-// The profiling stack's costs are scattered across subsystems: the GOS
-// charges access-check and OAL log-service time to thread clocks, the
-// network bills OAL wire bytes (kOalEntryWireBytes per entry plus the
-// interval header), the daemon measures real TCM build seconds, and every
-// rate change pays a heap-wide resampling pass.  The meter folds one
-// `OverheadSample` per daemon epoch into a rolling window and reports the
-// overhead *fraction* — profiling seconds per application second — that the
-// governor compares against its operator-set budget.
+// The profiling stack's worker-side costs are charged to thread clocks: the
+// GOS's OAL log service and footprint re-arm touches, the OAL send time the
+// network returned, the stack samplers' timers, and the parked arenas of
+// ingest backpressure.  Djvm::run_epoch prices them once per epoch from its
+// counters into an `OverheadSample`; the meter adds the heap-wide
+// resampling passes each rate change pays, folds the sample into a rolling
+// window, and reports the overhead *fraction* — profiling seconds per
+// application second — that the governor compares against its
+// operator-set budget.
 //
-// Worker-side costs (access checks, wire transfer, resampling) execute on
-// the nodes running application threads and count fully.  Coordinator-side
-// TCM build time runs on a dedicated machine in the paper's setup, so it is
-// reported separately and folded in under a configurable weight
-// (default 0: the paper's "does not add to execution time" assumption).
+// Worker-side costs execute on the nodes running application threads and
+// count fully.  Coordinator-side work (TCM build, planner, migration
+// execution, arbitration) runs on a dedicated machine in the paper's setup
+// and is host-timed, so the sample carries it but the meter never budgets
+// it (the paper's "does not add to execution time" assumption).
 #pragma once
 
 #include <cstddef>
@@ -39,22 +40,18 @@ struct NodeOverheadSample {
   double access_check_seconds = 0.0;
   /// Rate-independent profiling CPU (stack-sampling timers on this node).
   double fixed_seconds = 0.0;
-  /// OAL payload shipped from this node (priced by the cost model only when
-  /// the sample is unmeasured; measured pumps fold send time into
-  /// access_check_seconds).
-  std::uint64_t wire_bytes = 0;
   /// Resampling copy visits this node paid last epoch (it walked the
   /// objects it caches, wherever they are homed).
   std::uint64_t resampled_objects = 0;
 };
 
-/// Per-epoch cost observations, assembled by the Djvm pump hook (or by the
-/// daemon itself from the records when running standalone).
+/// Per-epoch cost observations, assembled by Djvm::run_epoch from its
+/// counters.
 struct OverheadSample {
-  /// True when a pump hook measured worker-side costs directly.  When false
-  /// (standalone daemon use) wire bytes are derived from the epoch's
-  /// records; such samples are observational only — with no measured app
-  /// time the governor suspends budget enforcement on them.
+  /// True when the pump (Djvm::run_epoch) measured the worker-side costs; it
+  /// is the only writer of the cost and app-time fields.  A standalone daemon
+  /// epoch passes an unmeasured, empty sample: with no measured app time the
+  /// governor suspends budget enforcement on it.
   bool measured = false;
   /// Tenant the epoch belongs to.  Meters namespace their window state per
   /// (tenant, node): a shared cluster meter fed by several tenants must not
@@ -67,7 +64,8 @@ struct OverheadSample {
   /// profiling/(app+profiling)).
   double app_seconds = 0.0;
   /// Worker CPU in *rate-dependent* profiling paths this epoch (OAL log
-  /// service, footprint re-arm touches) — reducible by coarsening gaps.
+  /// service, footprint re-arm touches, OAL send time, ingest backpressure)
+  /// — reducible by coarsening gaps.
   double access_check_seconds = 0.0;
   /// Worker CPU in *rate-independent* profiling this epoch (stack-sampling
   /// timers): part of the budgeted fraction, but coarsening sampling gaps
@@ -75,11 +73,10 @@ struct OverheadSample {
   double fixed_seconds = 0.0;
   /// Coordinator CPU this epoch (real seconds): TCM construction plus the
   /// per-class cell attribution and any caller-supplied coordinator work
-  /// (the facade's migration-planner/feedback run).  The daemon *adds* its
-  /// construction time to whatever the caller pre-filled here.
+  /// (the facade's plan-and-execute stage, an arbiter's decision share).
+  /// The daemon *adds* its construction time to whatever the caller
+  /// pre-filled here.  Reported, never budgeted.
   double build_seconds = 0.0;
-  /// OAL payload shipped to the coordinator this epoch.
-  std::uint64_t wire_bytes = 0;
   /// Objects visited by resampling passes triggered last epoch.
   std::uint64_t resampled_objects = 0;
   /// Per-node slices of the costs above (empty when the caller only has
@@ -89,10 +86,8 @@ struct OverheadSample {
 };
 
 /// Conversion constants from event counts to seconds, calibrated to the
-/// simulated testbed (see SimCosts: Fast Ethernet, 120 ns log service).
+/// simulated testbed.
 struct OverheadCosts {
-  /// Wire seconds per OAL payload byte (12.5 MB/s Fast Ethernet).
-  double seconds_per_wire_byte = 80e-9;
   /// Seconds per object visited in a resampling pass (sampled-bit
   /// recompute: one registry lookup + modulo).
   double seconds_per_resampled_object = 15e-9;
@@ -122,14 +117,9 @@ class OverheadMeter {
   [[nodiscard]] double rolling_fraction() const;
 
   /// The rate-dependent share of rolling_fraction(): what gap coarsening
-  /// can actually reduce (entry CPU + wire + resampling);
+  /// can actually reduce (access-check CPU + resampling);
   /// excludes OverheadSample::fixed_seconds.
   [[nodiscard]] double rolling_reducible_fraction() const;
-
-  /// Coordinator-side fraction over the window: reported, never budgeted
-  /// (the paper runs the coordinator on a dedicated machine, and host-timed
-  /// build seconds would make the simulated budget depend on host speed).
-  [[nodiscard]] double coordinator_fraction() const;
 
   // --- per-node views --------------------------------------------------------
   /// Number of nodes that have appeared in recorded samples (node ids are
@@ -159,19 +149,12 @@ class OverheadMeter {
   [[nodiscard]] std::size_t tenant_count() const noexcept { return tenants_.size(); }
   /// One tenant's rolling overhead fraction over its own window.
   [[nodiscard]] double rolling_fraction(TenantId tenant) const;
-  /// The rate-dependent share of rolling_fraction(tenant).
-  [[nodiscard]] double rolling_reducible_fraction(TenantId tenant) const;
   /// One tenant's most recent epoch alone.
   [[nodiscard]] double epoch_fraction(TenantId tenant) const;
-  /// One (tenant, node) rolling fraction.
-  [[nodiscard]] double node_rolling_fraction(TenantId tenant, NodeId node) const;
   /// One (tenant, node) most recent epoch alone.
   [[nodiscard]] double node_epoch_fraction(TenantId tenant, NodeId node) const;
-  /// The tenant's worst node by rolling fraction.
-  [[nodiscard]] std::optional<NodeId> worst_node(TenantId tenant) const;
 
   [[nodiscard]] std::size_t epochs() const noexcept { return epochs_; }
-  [[nodiscard]] std::size_t window() const noexcept { return window_; }
   [[nodiscard]] const OverheadCosts& costs() const noexcept { return costs_; }
 
   /// One window slot (public so the window-summing helper can see it).
@@ -179,7 +162,6 @@ class OverheadMeter {
     double app_seconds = 0.0;
     double reducible_seconds = 0.0;  ///< shrinks when gaps coarsen
     double fixed_seconds = 0.0;      ///< rate-independent profiling CPU
-    double build_seconds = 0.0;
     /// False when the epoch made no application progress here: no-signal
     /// slots are skipped by every fraction, never read as infinite overhead.
     bool signal = false;

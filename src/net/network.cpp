@@ -6,16 +6,16 @@ namespace djvm {
 
 SendOutcome Network::try_send(const Message& msg) noexcept {
   const auto idx = static_cast<std::size_t>(msg.category);
-  const std::uint64_t wire_bytes =
+  const std::uint64_t billed_bytes =
       msg.payload_bytes + (msg.piggybacked ? 0 : kMessageHeaderBytes);
-  stats_.bytes[idx] += wire_bytes;
+  stats_.bytes[idx] += billed_bytes;
   stats_.messages[idx] += 1;
   SimTime t;
   if (msg.src == msg.dst) {
     // Local delivery: no wire cost, tiny copy cost.
     t = costs_.transfer_time(msg.payload_bytes) / 64;
   } else {
-    t = costs_.transfer_time(wire_bytes);
+    t = costs_.transfer_time(billed_bytes);
     if (!msg.piggybacked) t += costs_.message_latency;
   }
   bool delivered = true;
@@ -32,7 +32,7 @@ SendOutcome Network::try_send(const Message& msg) noexcept {
   }
   if (msg.src != kInvalidNode) {
     NodeTraffic& nt = node_slot(msg.src);
-    nt.bytes[idx] += wire_bytes;
+    nt.bytes[idx] += billed_bytes;
     nt.messages[idx] += 1;
     nt.send_ns[idx] += t;
     if (!delivered) nt.dropped[idx] += 1;

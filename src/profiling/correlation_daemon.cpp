@@ -1,6 +1,5 @@
 #include "profiling/correlation_daemon.hpp"
 
-#include <algorithm>
 #include <chrono>
 
 #include "profiling/accuracy.hpp"
@@ -52,10 +51,7 @@ void CorrelationDaemon::filter_arena(OalArena& arena) const {
 
 std::size_t CorrelationDaemon::ingest(IngestHub& hub, bool quiesced) {
   const auto t0 = std::chrono::steady_clock::now();
-  if (hub_ != &hub) {
-    hub_ = &hub;
-    ring_snapshot_ = IngestCounters{};  // deltas restart against the new hub
-  }
+  hub_ = &hub;
   // Entries are external input: a class id beyond the registry must not tag
   // the window (the tag sizes class-indexed attribution vectors — the same
   // invariant note_epoch_entry enforces on the epoch stats).  Untagged
@@ -91,7 +87,6 @@ ReaderArena CorrelationDaemon::build_window() {
 EpochResult CorrelationDaemon::run_epoch(OverheadSample sample) {
   EpochResult out;
   out.intervals = pending_slices_;
-  std::uint64_t wire_bytes = 0;
   // Per-class benefit/cost stats feed only the closed-loop back-off; the
   // legacy and disarmed paths skip the per-entry pass.  Each entry is also
   // attributed to the worker node whose interval shipped it, so the
@@ -109,7 +104,6 @@ EpochResult CorrelationDaemon::run_epoch(OverheadSample sample) {
   // has no pair cells.
   for (const OalArena* a : pending_arenas_) {
     out.entries += a->entries.size();
-    wire_bytes += a->wire_bytes();
     if (class_stats || want_cells) {
       for (const ArenaInterval& iv : a->intervals) {
         for (std::uint32_t i = iv.begin; i < iv.end; ++i) {
@@ -183,39 +177,12 @@ EpochResult CorrelationDaemon::run_epoch(OverheadSample sample) {
     out.rel_distance = absolute_error(out.tcm, latest_);
   }
 
-  // Fill in what the caller did not measure, then let the governor decide.
-  // Added rather than assigned: a caller-supplied build_seconds carries
-  // coordinator work done outside the daemon (the facade's migration-planner
-  // and feedback run from the previous epoch), which must stay visible to
-  // the meter's coordinator bucket alongside this epoch's map construction.
+  // Add the daemon's own costs, then let the governor decide.  Added rather
+  // than assigned: a caller-supplied build_seconds carries coordinator work
+  // done outside the daemon (the facade's plan-and-execute stage from the
+  // previous epoch), which stays in the sample alongside this epoch's map
+  // construction.
   sample.build_seconds += out.build_seconds;
-  if (!sample.measured) {
-    sample.wire_bytes = wire_bytes;
-    // Observational per-node slices derived from the arenas themselves
-    // (no app time was measured, so the governor will not budget on them,
-    // but the per-node wire view stays visible).
-    if (sample.nodes.empty()) {
-      const auto bill_node = [&](NodeId node, std::uint64_t bytes) {
-        if (node == kInvalidNode) return;
-        auto it = std::find_if(
-            sample.nodes.begin(), sample.nodes.end(),
-            [&](const NodeOverheadSample& ns) { return ns.node == node; });
-        if (it == sample.nodes.end()) {
-          sample.nodes.push_back(NodeOverheadSample{});
-          it = sample.nodes.end() - 1;
-          it->node = node;
-        }
-        it->wire_bytes += bytes;
-      };
-      for (const OalArena* a : pending_arenas_) {
-        for (const ArenaInterval& iv : a->intervals) {
-          bill_node(iv.node, kIntervalHeaderWireBytes +
-                                 std::uint64_t(iv.end - iv.begin) *
-                                     kOalEntryWireBytes);
-        }
-      }
-    }
-  }
   sample.resampled_objects += carryover_resampled_;
   // Resampling passes run *after* a decision, so their per-node cost lands
   // in the next epoch's sample — attributed to the node that walked its own
@@ -229,20 +196,6 @@ EpochResult CorrelationDaemon::run_epoch(OverheadSample sample) {
   }
   static_cast<void>(  // discard passes not owed to the governor
       plan_.drain_resampled_by_node());
-  if (hub_ != nullptr) {
-    // Ring telemetry over this epoch, and the producer-stall bill: every
-    // backpressure event parked an arena on a worker thread, which is
-    // rate-dependent worker CPU exactly like the log service itself.
-    const IngestCounters now = hub_->counters();
-    out.ring_published = now.arenas_published - ring_snapshot_.arenas_published;
-    out.ring_entries =
-        now.entries_published - ring_snapshot_.entries_published;
-    out.ring_backpressure =
-        now.backpressure_events - ring_snapshot_.backpressure_events;
-    ring_snapshot_ = now;
-    sample.access_check_seconds +=
-        static_cast<double>(out.ring_backpressure) * kRingBackpressureSeconds;
-  }
   const Governor::EpochOutcome decision =
       governor_.on_epoch(out.rel_distance, sample);
   out.sample = sample;
@@ -290,24 +243,6 @@ SquareMatrix CorrelationDaemon::build_full() {
   latest_ = tcm;
   have_latest_ = true;
   return tcm;
-}
-
-void CorrelationDaemon::clear() {
-  release_pending_arenas();
-  hub_ = nullptr;
-  ring_snapshot_ = IngestCounters{};
-  ingest_seconds_ = 0.0;
-  full_.clear();
-  latest_ = SquareMatrix(threads_);
-  have_latest_ = false;
-  governor_.reset();  // clearing discards convergence progress too
-  build_seconds_ = 0.0;
-  total_entries_ = 0;
-  intervals_seen_ = 0;
-  dropped_objects_ = 0;
-  epochs_ = 0;
-  carryover_resampled_ = 0;
-  carryover_resampled_by_node_.clear();
 }
 
 }  // namespace djvm

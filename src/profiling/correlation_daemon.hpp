@@ -32,6 +32,11 @@ using CategoryBytes =
     std::array<std::uint64_t, static_cast<std::size_t>(MsgCategory::kCount)>;
 
 /// Outcome of one daemon epoch (a TCM rebuild over newly collected records).
+/// The daemon fills the map, its build costs and the governor's decision.
+/// The traffic, fault and ring telemetry, like the measured costs in
+/// `sample`, come from Djvm::run_epoch, which reads the network and the
+/// ingest hub the daemon never sees; a standalone daemon epoch leaves them
+/// zero.
 struct EpochResult {
   SquareMatrix tcm;
   /// 0-based index of this epoch in the daemon's run.
@@ -69,21 +74,17 @@ struct EpochResult {
   /// Rolling per-node overhead fractions after this epoch, indexed by node
   /// (empty when no per-node samples were ever recorded).
   std::vector<double> node_fractions;
-  /// Cluster-wide per-category traffic deltas over this epoch.  The daemon
-  /// never sees the network; the pump (Djvm::run_epoch) fills these
-  /// from its Network counters for the timeline.
+  /// Cluster-wide per-category traffic over this epoch (filled by the pump).
   CategoryBytes traffic_bytes{};
-  /// Same per source node (empty when the pump does not track nodes).
-  std::vector<CategoryBytes> node_traffic_bytes;
   /// Retention telemetry (zero when retention is off): whole-run store
   /// population after this epoch's merge/compact, and cumulative evictions.
   std::size_t retained_objects = 0;
   std::size_t retained_readers = 0;
   std::size_t dropped_objects = 0;
-  /// Ingest-ring telemetry over this epoch (all zero before the first
-  /// ingest()): arenas published and entries carried by the
-  /// lanes, and publishes that found their outbound ring full (the arena is
-  /// then parked producer-side and re-offered — a counted stall).
+  /// Ingest-ring telemetry over this epoch, from the hub's counters (filled
+  /// by the pump): arenas published and entries carried by the lanes, and
+  /// publishes that found their outbound ring full (the arena is then
+  /// parked producer-side and re-offered — a counted stall).
   /// ring_dropped exists to prove the invariant the bench gate checks: the
   /// ingest path has no drop branch, so it is structurally zero, and a
   /// nonzero value in a timeline is a bug, not a tuning problem.
@@ -108,20 +109,20 @@ struct EpochResult {
   std::vector<MigrationEvent> migrations;
   /// Real CPU the execution stage spent this epoch (resolution + prefetch +
   /// home migration bookkeeping); billed into the *next* epoch's overhead
-  /// sample alongside the planner carry.
+  /// sample as part of the plan-and-execute carry.
   double migration_seconds = 0.0;
   /// Fault-plan transport telemetry over this epoch (all zero on a fault-free
   /// run): per-category messages the injector dropped, per-category retries
   /// the reliable transport spent, and the total backoff wait it billed into
-  /// sender clocks.  Filled by the pump from its Network counters.
+  /// sender clocks.  Filled by the pump.
   CategoryBytes dropped_msgs{};
   CategoryBytes retries{};
   std::uint64_t backoff_ns = 0;
   /// The fully assembled overhead sample this epoch's decision ran on (the
-  /// caller's measured costs plus the daemon's fills: build time, wire
-  /// bytes, resampling carry).  A cluster coordinator re-records it into a
-  /// shared multi-tenant meter — the sample carries its tenant id, so the
-  /// shared meter's per-(tenant, node) windows stay namespaced.
+  /// caller's measured costs plus the daemon's additions: build time and
+  /// resampling carry).  A cluster coordinator re-records it into a shared
+  /// multi-tenant meter — the sample carries its tenant id, so the shared
+  /// meter's per-(tenant, node) windows stay namespaced.
   OverheadSample sample;
   /// Degraded-mode marker: true when at least one node's profiling
   /// contribution was lost this epoch (the node is dead, so its un-shipped
@@ -182,10 +183,10 @@ class CorrelationDaemon {
   /// Builds this epoch's TCM from the pending arenas, compares it with the
   /// previous epoch's map, refreshes the plan's per-class epoch stats, and
   /// delegates the rate decision to the governor.  `sample` carries the
-  /// epoch's measured costs (the Djvm pump hook assembles it from
-  /// GOS/network deltas); fields left zero are filled in from the slices
-  /// themselves (entries, wire bytes) and the build timers.  Consumes the
-  /// pending arenas, merging the window into the whole-run store behind
+  /// epoch's measured costs, which only the pump (Djvm::run_epoch) fills;
+  /// the daemon adds its build seconds and last epoch's resampling carry,
+  /// and leaves the ring telemetry to the pump.  Consumes the pending
+  /// arenas, merging the window into the whole-run store behind
   /// build_full().
   EpochResult run_epoch(OverheadSample sample = {});
 
@@ -260,8 +261,6 @@ class CorrelationDaemon {
   }
   [[nodiscard]] std::size_t epochs_run() const noexcept { return epochs_; }
 
-  void clear();
-
  private:
   /// Compacts one arena in place, dropping slices whose node fails the
   /// installed liveness predicate (no-op without one).
@@ -275,12 +274,11 @@ class CorrelationDaemon {
   std::uint32_t threads_;
   Governor governor_;
   /// Ingest state: the hub ingest() last drained (arenas are recycled to
-  /// it), the drained-but-unconsumed arenas backing the next epoch's stats,
-  /// and the ring-counter snapshot per-epoch telemetry deltas against.
+  /// it) and the drained-but-unconsumed arenas backing the next epoch's
+  /// stats.
   IngestHub* hub_ = nullptr;
   std::vector<OalArena*> pending_arenas_;
   std::size_t pending_slices_ = 0;
-  IngestCounters ring_snapshot_;
   /// Liveness predicate applied to arena slices at ingest() (empty = keep all).
   std::function<bool(NodeId)> node_filter_;
   /// Reorganize scratch reused by every window build.

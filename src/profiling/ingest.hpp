@@ -86,9 +86,10 @@ class SpscRing {
 
 /// Modeled worker-side cost of one backpressure event: the producer parks
 /// the arena on its overflow deque and re-offers it later — a few hundred
-/// nanoseconds of pointer shuffling on the worker thread.  The daemon bills
-/// this into the epoch sample's rate-dependent bucket so a chronically full
-/// ring surfaces on the overhead meter instead of hiding in lost throughput.
+/// nanoseconds of pointer shuffling on the worker thread.  Djvm::run_epoch
+/// bills this into the epoch sample's rate-dependent bucket so a chronically
+/// full ring surfaces on the overhead meter instead of hiding in lost
+/// throughput.
 inline constexpr double kRingBackpressureSeconds = 400e-9;
 
 /// Aggregated hub counters (sums over lanes; each is monotonic).  The loss

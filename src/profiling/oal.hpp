@@ -45,8 +45,7 @@ static_assert(sizeof(OalEntry) == 24,
 /// One closed interval's slice of an arena's entry log: the interval context
 /// header plus the entry range it owns.  A single interval may split across
 /// arenas when it fills one mid-append; each slice then carries the full
-/// header (and is billed one header of wire bytes — the price of fixed-size
-/// arenas, visible in the accounting rather than hidden).
+/// header (the wire ships one header per interval close, however it splits).
 struct ArenaInterval {
   ThreadId thread = kInvalidThread;
   IntervalId interval = 0;
@@ -85,12 +84,6 @@ struct OalArena {
   std::vector<ArenaInterval> intervals;
 
   [[nodiscard]] bool empty() const noexcept { return entries.empty(); }
-  /// Wire size if shipped to the coordinator: one interval header per slice
-  /// plus the shipped entry fields.
-  [[nodiscard]] std::uint64_t wire_bytes() const noexcept {
-    return intervals.size() * kIntervalHeaderWireBytes +
-           entries.size() * kOalEntryWireBytes;
-  }
   void clear() noexcept {
     entries.clear();
     intervals.clear();

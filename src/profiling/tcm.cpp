@@ -377,15 +377,6 @@ TcmCompactStats TcmStore::compact(std::uint32_t idle_epochs, double decay) {
   return stats;
 }
 
-void TcmStore::clear() {
-  csr_.objects.clear();
-  csr_.readers.clear();
-  csr_.offsets.assign(1, 0);
-  last_touch_.clear();
-  decay_epoch_.clear();
-  epoch_ = 0;
-}
-
 std::size_t TcmStore::memory_bytes() const noexcept {
   return csr_.objects.capacity() * sizeof(ObjectId) +
          csr_.offsets.capacity() * sizeof(std::uint32_t) +

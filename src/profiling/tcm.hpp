@@ -214,9 +214,6 @@ class TcmStore {
   /// store; a second call within the same epoch finds nothing to do.
   TcmCompactStats compact(std::uint32_t idle_epochs, double decay);
 
-  /// Drops all state (keeps allocations for reuse).
-  void clear();
-
   /// The store's objects (strictly increasing ids) and their readers; accrue
   /// with TcmBuilder::accrue_sparse for the whole-run map.
   [[nodiscard]] const ReaderArena& csr() const noexcept { return csr_; }

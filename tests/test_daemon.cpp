@@ -139,17 +139,5 @@ TEST_F(DaemonTest, BuildFullCoversConsumedEpochsAndPending) {
   EXPECT_GT(daemon.total_build_seconds(), 0.0);
 }
 
-TEST_F(DaemonTest, ClearResets) {
-  CorrelationDaemon daemon(plan, 2);
-  std::vector<OalArena> rs;
-  rs.push_back(rec(0, {{1, klass, 64, 1}}));
-  feeder.feed(daemon, std::move(rs));
-  daemon.run_epoch();
-  daemon.clear();
-  EXPECT_EQ(daemon.pending(), 0u);
-  EXPECT_EQ(daemon.total_intervals(), 0u);
-  EXPECT_DOUBLE_EQ(daemon.latest().total(), 0.0);
-}
-
 }  // namespace
 }  // namespace djvm

@@ -1,6 +1,7 @@
 // Closed-loop profiling governor: overhead metering, budget-exceeded
 // backoff, under-budget tightening, sentinel phase detection, snapshot
-// round-trips, and plan resampling when gaps flip between full and coarse.
+// round-trips, plan resampling when gaps flip between full and coarse, and
+// how the Djvm pump prices each epoch's sample from its counters.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,6 +10,7 @@
 #include <cstring>
 
 #include "balance/balancer_feedback.hpp"
+#include "core/djvm.hpp"
 #include "governor/governor.hpp"
 #include "governor/snapshot.hpp"
 #include "profiling/correlation_daemon.hpp"
@@ -85,14 +87,12 @@ TEST(OverheadMeter, RollingFractionAveragesWindow) {
 
 TEST(OverheadMeter, CostModelConvertsCountsToSeconds) {
   OverheadCosts costs;
-  costs.seconds_per_wire_byte = 1e-6;
   costs.seconds_per_resampled_object = 1e-6;
   OverheadMeter meter(costs, 4);
   OverheadSample s;
-  s.wire_bytes = 1000;
   s.resampled_objects = 500;
   s.build_seconds = 0.25;  // host-timed coordinator work is never budgeted
-  EXPECT_DOUBLE_EQ(meter.profiling_seconds(s), 0.0015);
+  EXPECT_DOUBLE_EQ(meter.profiling_seconds(s), 0.0005);
 }
 
 TEST(OverheadMeter, NoAppProgressIsNoSignal) {
@@ -124,8 +124,8 @@ TEST(OverheadMeter, IdleNodeWithResampleCostIsNotWorstOffender) {
   s.measured = true;
   s.app_seconds = 1.0;
   s.access_check_seconds = 0.01;
-  s.nodes.push_back({0, 1.0, 0.01, 0.0, 0, 0});
-  s.nodes.push_back({1, 0.0, 0.0, 0.0, 0, 5000});  // idle, but billed a pass
+  s.nodes.push_back({0, 1.0, 0.01, 0.0, 0});
+  s.nodes.push_back({1, 0.0, 0.0, 0.0, 5000});  // idle, but billed a pass
   meter.record(s);
   EXPECT_DOUBLE_EQ(meter.node_rolling_fraction(1), 0.0);
   EXPECT_DOUBLE_EQ(meter.node_epoch_fraction(1), 0.0);
@@ -816,8 +816,8 @@ TEST(OverheadMeterPerNode, TracksPerNodeWindowsAndWorstOffender) {
   s.measured = true;
   s.app_seconds = 2.0;
   s.access_check_seconds = 0.05;
-  s.nodes.push_back({0, 1.0, 0.001, 0.0, 0, 0});
-  s.nodes.push_back({1, 1.0, 0.10, 0.0, 0, 0});
+  s.nodes.push_back({0, 1.0, 0.001, 0.0, 0});
+  s.nodes.push_back({1, 1.0, 0.10, 0.0, 0});
   meter.record(s);
   EXPECT_EQ(meter.node_count(), 2u);
   EXPECT_DOUBLE_EQ(meter.node_rolling_fraction(0), 0.001);
@@ -830,7 +830,7 @@ TEST(OverheadMeterPerNode, TracksPerNodeWindowsAndWorstOffender) {
   OverheadSample s2;
   s2.measured = true;
   s2.app_seconds = 1.0;
-  s2.nodes.push_back({0, 1.0, 0.003, 0.0, 0, 0});
+  s2.nodes.push_back({0, 1.0, 0.003, 0.0, 0});
   meter.record(s2);
   EXPECT_DOUBLE_EQ(meter.node_rolling_fraction(0), 0.004 / 2.0);
   EXPECT_DOUBLE_EQ(meter.node_epoch_fraction(1), 0.0);
@@ -871,8 +871,8 @@ class PerNodeGovernorTest : public ::testing::Test {
     s.measured = true;
     s.app_seconds = 11.0;
     s.access_check_seconds = 0.001 + hot_fraction;
-    s.nodes.push_back({0, 10.0, 0.001, 0.0, 0, 0});
-    s.nodes.push_back({1, 1.0, hot_fraction, 0.0, 0, 0});
+    s.nodes.push_back({0, 10.0, 0.001, 0.0, 0});
+    s.nodes.push_back({1, 1.0, hot_fraction, 0.0, 0});
     return s;
   }
 
@@ -1120,6 +1120,124 @@ TEST_F(PerNodeGovernorTest, DaemonAttributesEpochStatsAndResamplesPerNode) {
   // backed off and resampled.
   EXPECT_GE(plan.node_gap_shift(1, hot), 1u);
   EXPECT_EQ(plan.node_gap_shift(0, bulky), 0u);
+}
+
+// --- the pump's counter read (Djvm::run_epoch) --------------------------------
+
+/// A governed 4-thread run whose OALs ship over the network, with stack
+/// sampling and footprinting on: every epoch prices log service, footprint
+/// touches, send time and sampler timers together.
+class PumpTest : public ::testing::Test {
+ protected:
+  static Config pump_config(std::uint32_t nodes) {
+    Config cfg;
+    cfg.nodes = nodes;
+    cfg.threads = 4;
+    cfg.oal_transfer = OalTransfer::kSend;
+    cfg.stack_sampling = true;
+    cfg.stack_sampling_gap = sim_us(20);
+    cfg.footprinting = true;
+    cfg.governor.enabled = true;
+    return cfg;
+  }
+
+  void build(Djvm& djvm) {
+    djvm.spawn_threads_round_robin(djvm.config().threads);
+    const ClassId k = djvm.registry().register_class("Shared", 64);
+    for (std::uint32_t i = 0; i < 64; ++i) {
+      objs.push_back(djvm.gos().alloc(
+          k, static_cast<NodeId>(i % djvm.config().nodes)));
+    }
+    djvm.plan().set_rate_all(djvm.config().sampling_rate_x);
+  }
+
+  /// `rounds` barrier rounds over a window of shared objects that drifts
+  /// with `salt`.
+  void drive(Djvm& djvm, std::uint32_t rounds, std::uint32_t salt) {
+    for (std::uint32_t r = 0; r < rounds; ++r) {
+      for (ThreadId t = 0; t < djvm.thread_count(); ++t) {
+        for (std::uint32_t o = 0; o < 8; ++o) {
+          djvm.read(t, objs[(3 * t + o + r + salt) % objs.size()]);
+        }
+        djvm.write(t, objs[(t + r + salt) % objs.size()]);
+      }
+      djvm.barrier_all();
+    }
+  }
+
+  std::vector<ObjectId> objs;
+};
+
+TEST_F(PumpTest, OneNodeSliceEqualsClusterSlice) {
+  // With one node the node slice and the cluster slice price the same
+  // counters, so they must agree bit for bit: one pricing expression.
+  Djvm djvm(pump_config(1));
+  build(djvm);
+  bool priced_send = false, priced_fixed = false;
+  for (std::uint32_t e = 0; e < 40; ++e) {
+    drive(djvm, 2 + e % 5, 3 * e);
+    const EpochResult r = djvm.run_epoch();
+    ASSERT_EQ(r.ring_backpressure, 0u);
+    ASSERT_EQ(r.sample.nodes.size(), 1u);
+    const NodeOverheadSample& n0 = r.sample.nodes[0];
+    EXPECT_EQ(n0.access_check_seconds, r.sample.access_check_seconds)
+        << "epoch " << e;
+    EXPECT_EQ(n0.fixed_seconds, r.sample.fixed_seconds) << "epoch " << e;
+    EXPECT_EQ(n0.app_seconds, r.sample.app_seconds) << "epoch " << e;
+    priced_send = priced_send || r.traffic_bytes[static_cast<std::size_t>(
+                                     MsgCategory::kOal)] > 0;
+    priced_fixed = priced_fixed || r.sample.fixed_seconds > 0.0;
+  }
+  EXPECT_TRUE(priced_send);
+  EXPECT_TRUE(priced_fixed);
+}
+
+TEST_F(PumpTest, StatsResetBetweenEpochsReadsAsRestartedGrowth) {
+  // A Gos/Network stats reset between two epochs restarts the counters
+  // below the previous read: the restarted values are that epoch's growth,
+  // never an unsigned wrap.
+  Djvm djvm(pump_config(2));
+  build(djvm);
+  drive(djvm, 4, 0);
+  djvm.run_epoch();
+  const ProtocolStats ps_before = djvm.gos().stats();
+  const TrafficStats ts_before = djvm.net().stats();
+
+  djvm.gos().reset_stats();
+  djvm.net().reset_stats();
+  drive(djvm, 1, 7);
+  const ProtocolStats& ps = djvm.gos().stats();
+  const TrafficStats& ts = djvm.net().stats();
+  ASSERT_GT(ps.oal_entries, 0u);
+  ASSERT_LT(ps.oal_entries, ps_before.oal_entries);
+  ASSERT_LT(ps.oal_send_ns, ps_before.oal_send_ns);
+  ASSERT_LT(ts.total_bytes(), ts_before.total_bytes());
+
+  const EpochResult r = djvm.run_epoch();
+  EXPECT_EQ(r.traffic_bytes, ts.bytes);
+  EXPECT_EQ(r.dropped_msgs, ts.dropped);
+  EXPECT_EQ(r.retries, ts.retries);
+  const auto worker = [](std::uint64_t entries, std::uint64_t touches,
+                         std::uint64_t send_ns) {
+    return (static_cast<double>(entries) * static_cast<double>(kLogServiceCost) +
+            static_cast<double>(touches) *
+                static_cast<double>(kFootprintServiceCost)) *
+               1e-9 +
+           static_cast<double>(send_ns) * 1e-9;
+  };
+  EXPECT_DOUBLE_EQ(r.sample.access_check_seconds,
+                   worker(ps.oal_entries, ps.footprint_touches, ps.oal_send_ns));
+  ASSERT_EQ(r.sample.nodes.size(), 2u);
+  const auto kOal = static_cast<std::size_t>(MsgCategory::kOal);
+  for (NodeId n = 0; n < 2; ++n) {
+    const NodeProfilingStats& nps = djvm.gos().node_stats(n);
+    EXPECT_DOUBLE_EQ(r.sample.nodes[n].access_check_seconds,
+                     worker(nps.oal_entries, nps.footprint_touches,
+                            djvm.net().node_traffic(n).send_ns[kOal]))
+        << "node " << n;
+  }
+  EXPECT_GT(r.sample.app_seconds, 0.0);
+  EXPECT_LT(r.sample.access_check_seconds, r.sample.app_seconds);
 }
 
 }  // namespace

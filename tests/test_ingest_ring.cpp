@@ -4,7 +4,8 @@
 // TSan CI lane executes this file), and arena-geometry invariance of the
 // fold: the same interval stream must produce the same map whether it rides
 // big arenas or tiny ones that split every interval, at both the daemon and
-// the GOS level.
+// the GOS level; and the pump's per-epoch ring telemetry and backpressure
+// bill.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -346,11 +347,14 @@ TEST_F(IngestDaemonTest, EpochInvariantAcrossArenaGeometry) {
     if (et.rel_distance.has_value()) {
       EXPECT_DOUBLE_EQ(*et.rel_distance, *eb.rel_distance);
     }
-    // Ring telemetry flows on both sides, and nothing ever drops.
-    EXPECT_GT(eb.ring_entries, 0u);
-    EXPECT_EQ(eb.ring_entries, et.ring_entries);
-    EXPECT_EQ(eb.ring_dropped, 0u);
-    EXPECT_EQ(et.ring_dropped, 0u);
+    // Both hubs carried the same entries, and nothing ever drops: every
+    // published entry was drained into the daemon.
+    const IngestCounters cb = big_hub.counters();
+    const IngestCounters ct = tiny_hub.counters();
+    EXPECT_GT(cb.entries_published, 0u);
+    EXPECT_EQ(cb.entries_published, ct.entries_published);
+    EXPECT_EQ(cb.entries_drained, cb.entries_published);
+    EXPECT_EQ(ct.entries_drained, ct.entries_published);
   }
   EXPECT_EQ(tiny.build_full(), big.build_full());
 }
@@ -474,6 +478,73 @@ IngestKnobs splitty_geometry() {
   cfg.arena_entries = 8;  // 6-entry intervals fill one fast: constant turnover
   cfg.ring_depth = 2;     // shallow rings: backpressure parking mid-run
   return cfg;
+}
+
+TEST(GosIngest, PumpReportsRingGrowthAndBillsBackpressure) {
+  // Ring telemetry comes from the hub's counters, read once per epoch by
+  // the pump; every backpressure event is billed to the sample's
+  // rate-dependent bucket on top of the worker CPU the clocks carried, and
+  // the application seconds are the clocks' growth less that CPU alone.
+  Config cfg;
+  cfg.nodes = 2;
+  cfg.threads = 4;
+  cfg.oal_transfer = OalTransfer::kSend;
+  cfg.ingest = splitty_geometry();
+  Djvm djvm(cfg);
+  djvm.spawn_threads_round_robin(cfg.threads);
+  const ClassId k = djvm.registry().register_class("Shared", 64);
+  std::vector<ObjectId> objs;
+  for (std::uint32_t i = 0; i < 16; ++i) {
+    objs.push_back(djvm.gos().alloc(k, static_cast<NodeId>(i % cfg.nodes)));
+  }
+  const auto clocks = [&] {
+    SimTime sum = 0;
+    for (ThreadId t = 0; t < cfg.threads; ++t) sum += djvm.gos().clock(t).now();
+    return sum;
+  };
+  IngestCounters ring_then;
+  ProtocolStats ps_then;
+  SimTime clocks_then = 0;
+  std::uint64_t backpressure = 0;
+  for (std::uint32_t epoch = 0; epoch < 6; ++epoch) {
+    for (std::uint32_t round = 0; round < 4; ++round) {
+      for (ThreadId t = 0; t < cfg.threads; ++t) {
+        for (std::uint32_t o = 0; o < 6; ++o) {
+          djvm.read(t, objs[(t + o + round + epoch) % objs.size()]);
+        }
+      }
+      djvm.barrier_all();  // no pump between rounds: the shallow rings fill
+    }
+    const EpochResult r = djvm.run_epoch();
+    const IngestCounters ring = djvm.ingest_hub()->counters();
+    EXPECT_EQ(r.ring_published, ring.arenas_published - ring_then.arenas_published);
+    EXPECT_EQ(r.ring_entries, ring.entries_published - ring_then.entries_published);
+    EXPECT_EQ(r.ring_backpressure,
+              ring.backpressure_events - ring_then.backpressure_events);
+    EXPECT_GT(r.ring_entries, 0u);
+
+    const ProtocolStats& ps = djvm.gos().stats();
+    const double worker =
+        (static_cast<double>(ps.oal_entries - ps_then.oal_entries) *
+             static_cast<double>(kLogServiceCost) +
+         static_cast<double>(ps.footprint_touches - ps_then.footprint_touches) *
+             static_cast<double>(kFootprintServiceCost)) *
+            1e-9 +
+        static_cast<double>(ps.oal_send_ns - ps_then.oal_send_ns) * 1e-9;
+    const double bill =
+        static_cast<double>(r.ring_backpressure) * kRingBackpressureSeconds;
+    EXPECT_DOUBLE_EQ(r.sample.access_check_seconds, worker + bill)
+        << "epoch " << epoch;
+    EXPECT_DOUBLE_EQ(r.sample.app_seconds,
+                     static_cast<double>(clocks() - clocks_then) * 1e-9 - worker)
+        << "epoch " << epoch;
+
+    backpressure += r.ring_backpressure;
+    ring_then = ring;
+    ps_then = ps;
+    clocks_then = clocks();
+  }
+  EXPECT_GT(backpressure, 0u);
 }
 
 TEST(GosIngest, HomeMigrationOverOpenArenaIsGeometryInvariant) {

@@ -1,5 +1,5 @@
 // The CSR TCM pipeline: equivalence with the dense-from-scratch oracle over
-// randomized arena streams (arbitrary window splits, mid-stream clears),
+// randomized arena streams (arbitrary window splits),
 // arena reorganization, the whole-run store's in-place merge, the daemon's
 // epoch-close window build, and a seeded property sweep over the whole
 // pipeline (retention, out-of-range threads and classes, spill ids).
@@ -165,21 +165,6 @@ TEST_P(IncrementalSweep, SplitSubmissionsMatchFromScratch) {
 INSTANTIATE_TEST_SUITE_P(Seeds, IncrementalSweep,
                          ::testing::Values(1, 7, 42, 1234, 77777));
 
-TEST(TcmStore, ClearDropsHistory) {
-  const auto a = random_stream(5, 8, 128, 60, 16);
-  const auto b = random_stream(6, 8, 128, 60, 16);
-  TcmStore store(8);
-  ArenaScratch scratch;
-  absorb_logs(store, a, scratch);
-  ASSERT_GT(store.object_count(), 0u);
-  store.clear();
-  EXPECT_EQ(store.object_count(), 0u);
-  EXPECT_EQ(store.reader_entries(), 0u);
-  absorb_logs(store, b, scratch);
-  expect_maps_equal(store_map(store), build_reference(b, 8, true),
-                    "post-clear merge");
-}
-
 TEST(TcmStore, TwoWindowsEqualCombinedStream) {
   const auto a = random_stream(11, 10, 200, 80, 20);
   const auto b = random_stream(12, 10, 200, 80, 20);
@@ -299,11 +284,6 @@ TEST(DaemonIncremental, BuildFullIsIncrementalAcrossCalls) {
   expect_maps_equal(daemon.build_full(),
                     build_reference(both, 8, true),
                     "second build_full merges only the delta");
-  // A clear() discards the whole-run store too.
-  daemon.clear();
-  feeder.feed(daemon, b);
-  expect_maps_equal(daemon.build_full(), build_reference(b, 8, true),
-                    "build_full after clear");
 }
 
 TEST(DaemonIncremental, BuildFullConsumesTheWindow) {
