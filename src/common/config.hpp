@@ -54,7 +54,7 @@ enum class CostAttribution : std::uint8_t {
   /// bit and all resampling visits are billed to homes — a node caching
   /// many hot remote objects pays real cost the governor cannot see.
   kHomeNode,
-  /// Paper model (default): every caching node keeps its copy's bit under
+  /// Paper model (default): every caching node decides its copy's bit under
   /// its own effective gap and pays for resampling the copies it caches.
   kCachedCopy,
 };
@@ -251,9 +251,11 @@ struct Config {
   double adapt_threshold = 0.05;
   /// Piggyback OAL messages on lock/barrier traffic when destinations match.
   bool piggyback_oals = true;
-  /// Who owns a shared object's sampling decision and pays its resampling
-  /// cost (see CostAttribution; kHomeNode reproduces the pre-fix
-  /// misattribution for ablation benches).
+  /// Who owns a shared object's sampling decision — the reading node under
+  /// kCachedCopy, the object's home under kHomeNode — and pays its
+  /// resampling cost (see CostAttribution; kHomeNode reproduces the pre-fix
+  /// misattribution for ablation benches).  Read once, by Djvm's
+  /// constructor, before the heap holds any object.
   CostAttribution cost_attribution = CostAttribution::kCachedCopy;
 
   // --- profiling governor --------------------------------------------------

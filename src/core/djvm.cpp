@@ -162,9 +162,8 @@ void Djvm::apply_profiling_config() {
   retention.compact_period = cfg_.retention.compact_period;
   daemon_.set_retention(retention);
   // No disarm branch: Config is immutable after construction, so
-  // governor.enabled can never transition to false here — a governor armed
-  // directly via governor().arm() is the caller's to tear down with
-  // disarm().
+  // governor.enabled can never transition to false here; a governor never
+  // armed stays passive (GovernorMode::kDisarmed).
 }
 
 void Djvm::pump_daemon() {
@@ -407,7 +406,7 @@ void Djvm::fail_node(NodeId node) {
   }
 
   // Re-home every orphaned object across the survivors.  migrate_homes ships
-  // one aggregated payload per batch and re-keys sampling state through
+  // one aggregated payload per batch and bills each re-key through
   // on_home_migrated; the wire transfer from the dead node is dropped by the
   // injector (the data really comes from surviving cached copies), but the
   // home directory update is what recovery needs.

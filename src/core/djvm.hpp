@@ -183,7 +183,7 @@ class Djvm final : public Gos::Hooks {
   /// tighten quorum, pending planned moves targeting it are cancelled, its
   /// threads fail over round-robin to surviving nodes, and every object
   /// homed there is re-homed across the survivors through the existing
-  /// Gos::migrate_homes path (sampling state re-keys via on_home_migrated).
+  /// Gos::migrate_homes path (re-key visits billed via on_home_migrated).
   /// Lazily creates the injector from Config::faults when none is attached.
   /// Idempotent; a no-op when `node` is out of range or the last node alive.
   void fail_node(NodeId node);

@@ -146,9 +146,10 @@ void Gos::access(ThreadId t, ObjectId obj, bool is_write) {
     if (dispatch & kDispatchTracking) {
       if (bk.oal_stamp != ts.interval_stamp) [[unlikely]] {
         bk.oal_stamp = ts.interval_stamp;
-        // The *accessing* node's copy bit decides: a per-(node, class) gap
-        // shift changes what that node logs, wherever the object is homed.
-        if (plan_.is_sampled(ts.node, obj)) log_access(ts, obj);
+        // The *accessing* node's copy decides: a per-(node, class) gap shift
+        // changes what that node logs, wherever the object is homed.
+        const CopySample s = plan_.sample(ts.node, obj);
+        if (s.sampled) log_access(ts, obj, s);
       }
     }
 
@@ -157,7 +158,10 @@ void Gos::access(ThreadId t, ObjectId obj, bool is_write) {
       if (ts.clock.now() >= ts.fp_next_boundary) [[unlikely]] {
         refresh_footprint_state(ts);
       }
-      if (ts.fp_on_phase && plan_.is_sampled(ts.node, obj)) {
+      // The tick stamp gates first, so each object's answer is computed at
+      // most once per re-arm tick.
+      if (ts.fp_on_phase && bk.fp_stamp != ts.fp_tick &&
+          plan_.is_sampled(ts.node, obj)) {
         footprint_touch(ts, bk, obj);
       }
     }
@@ -198,20 +202,17 @@ void Gos::object_fault(ThreadState& ts, NodeState& ns, ObjectId obj) {
   const auto oi = static_cast<std::size_t>(obj);
   ns.state[oi] = static_cast<std::uint8_t>(CopyState::kValid);
   ns.fetch_epoch[oi] = global_epoch_;
-  // Fault-in registers the copy's sampled bit under the caching node's
-  // effective gap (and counts the registration for the snapshot summary).
+  // Counted for the snapshot summary.
   plan_.note_copy_registered(ts.node, obj);
   ++stats_.object_faults;
   stats_.fault_bytes += m.size_bytes;
 }
 
-void Gos::log_access(ThreadState& ts, ObjectId obj) {
+void Gos::log_access(ThreadState& ts, ObjectId obj, const CopySample& s) {
   ts.clock.advance(kLogServiceCost);
-  // Bytes and gap come from the logging node's own copy view, so the HT
-  // weight matches the selection probability this node sampled under.
-  ts.oal.push_back(OalEntry{obj, heap_.meta(obj).klass,
-                            plan_.sample_bytes(ts.node, obj),
-                            plan_.gap_of(ts.node, obj)});
+  // Bytes and gap come from the logging node's own answer, so the HT weight
+  // matches the selection probability this node sampled under.
+  ts.oal.push_back(OalEntry{obj, heap_.meta(obj).klass, s.bytes, s.gap});
   ++stats_.oal_entries;
   ++node_stats_[ts.node].oal_entries;
 }
@@ -227,9 +228,7 @@ void Gos::refresh_footprint_state(ThreadState& ts) {
 }
 
 void Gos::footprint_touch(ThreadState& ts, ObjectBook& bk, ObjectId obj) {
-  const std::uint32_t tick = ts.fp_tick;
-  if (bk.fp_stamp == tick) return;
-  bk.fp_stamp = tick;
+  bk.fp_stamp = ts.fp_tick;
   ts.clock.advance(kFootprintServiceCost);
   if (bk.fp_count == 0) ts.fp_objects.push_back(obj);
   ++bk.fp_count;
@@ -448,9 +447,8 @@ void Gos::migrate_home(ObjectId obj, NodeId to) {
   src.state[oi] = static_cast<std::uint8_t>(CopyState::kValid);
   src.fetch_epoch[oi] = global_epoch_;
   heap_.set_home(obj, to);
-  // Re-key the object's sampling state under the new home right away (the
-  // old home's gap shift must not linger until the next full resample) and
-  // re-register the old home's retained payload as an ordinary cached copy.
+  // Bill the new home's re-key visit and re-register the old home's
+  // retained payload as an ordinary cached copy.
   plan_.on_home_migrated(obj, from, to);
   ++stats_.home_migrations;
 }

@@ -92,7 +92,7 @@ class Gos : public CopySetView {
   /// Labels the running phase (the paper's interval context start/end PC).
   void set_phase(ThreadId t, std::uint32_t pc) { threads_[t].phase_pc = pc; }
 
-  // --- allocation (via GOS so sampling tags stay fresh) -----------------------
+  // --- allocation (via GOS so new classes inherit the default rate) ----------
   ObjectId alloc(ClassId klass, NodeId home);
   ObjectId alloc_array(ClassId klass, NodeId home, std::uint32_t length);
   ObjectId alloc_for_thread(ThreadId t, ClassId klass);
@@ -122,7 +122,7 @@ class Gos : public CopySetView {
   /// Batched home migration: moves every object in `objs` not already homed
   /// at `to`, shipping one aggregated payload per source node instead of a
   /// message per object (the follow-the-thread path of the execution stage).
-  /// Sampling state is re-keyed per object exactly as migrate_home does.
+  /// Each object's re-key visit is billed exactly as migrate_home does.
   /// Returns the number of homes actually moved.
   std::size_t migrate_homes(std::span<const ObjectId> objs, NodeId to);
 
@@ -264,7 +264,7 @@ class Gos : public CopySetView {
   /// Allocates the zero-filled page holding `oi` and returns its record.
   static ObjectBook* add_book_page(ThreadState& ts, std::size_t oi);
   void object_fault(ThreadState& ts, NodeState& ns, ObjectId obj);
-  void log_access(ThreadState& ts, ObjectId obj);
+  void log_access(ThreadState& ts, ObjectId obj, const CopySample& s);
   void footprint_touch(ThreadState& ts, ObjectBook& bk, ObjectId obj);
   void refresh_footprint_state(ThreadState& ts);
   void refresh_dispatch();

@@ -22,8 +22,8 @@ Governor::Governor(SamplingPlan& plan, GovernorConfig cfg)
 void Governor::reset_controller_state(GovernorState state) {
   // Per-node backoff state is convergence progress too: a re-arm (or a
   // switch to a mode that can never relax shifts, like legacy) must drop the
-  // shifts AND recompute the affected classes under the restored cluster
-  // view, or the previously hot nodes stay silently under-sampled.
+  // shifts, or the previously hot nodes stay silently under-sampled, and
+  // bill the change notice for the affected classes.
   if (plan_.has_node_gap_shifts()) {
     std::vector<std::uint8_t> affected(plan_.heap().registry().size(), 0);
     for (std::size_t n = 0; n < plan_.shift_node_count(); ++n) {
@@ -68,12 +68,6 @@ void Governor::arm(GovernorConfig cfg) {
     mode_ = GovernorMode::kClosedLoop;
   }
   reset_controller_state(GovernorState::kAdapting);
-}
-
-void Governor::disarm() {
-  // Keeps the terminal state: the seed API reported converged() == true
-  // even after adaptation was switched off, and callers freeze-then-poll.
-  mode_ = GovernorMode::kDisarmed;
 }
 
 Governor::EpochOutcome Governor::on_epoch(std::optional<double> rel_distance,
@@ -426,8 +420,8 @@ std::size_t Governor::back_off_node(NodeId node, double shrink_to) {
               return a.score != b.score ? a.score < b.score : a.id < b.id;
             });
   // Same projection as the cluster back_off, but doublings land on the
-  // node's gap *shift*: only the offender's own copy view coarsens (the
-  // resample walks exactly the copies it caches — remote-homed hot objects
+  // node's gap *shift*: only the offender's own copies coarsen (the
+  // resample bills exactly the copies it caches — remote-homed hot objects
   // included), and the cluster view the other nodes sample under stays
   // untouched.
   const double target = std::clamp(shrink_to, 0.0, 1.0) * total_entries;

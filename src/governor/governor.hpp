@@ -174,7 +174,6 @@ class Governor {
   /// restarts the overhead meter (the new config may change its cost model
   /// or window).
   void arm(GovernorConfig cfg);
-  void disarm();
 
   [[nodiscard]] GovernorMode mode() const noexcept { return mode_; }
   [[nodiscard]] GovernorState state() const noexcept { return state_; }

@@ -259,11 +259,11 @@ struct SnapshotAccess {
     const KlassRegistry& reg = gov.plan_.heap().registry();
     const std::size_t classes = info.classes.size();
     gov.converged_gaps_.assign(reg.size(), 0);  // 0 = not captured
-    // Only classes whose gaps or shifts actually move need the paper's
+    // Only classes whose gaps or shifts actually move are billed the paper's
     // change-notice resampling walk.  Restoring into an already-warm world
-    // (same rates, same shifts) then resamples nothing — the restored
-    // governor drives the cached-copy plan immediately, with no full
-    // resample storm billed to the first epoch.
+    // (same rates, same shifts) then bills nothing — the restored governor
+    // drives the cached-copy plan immediately, with no full resample storm
+    // billed to the first epoch.
     std::vector<std::uint8_t> changed(reg.size(), 0);
     // Shifts: any class shifted before or after the load is affected.
     for (std::size_t n = 0; n < gov.plan_.shift_node_count(); ++n) {
@@ -314,8 +314,10 @@ struct SnapshotAccess {
     for (std::size_t c = 0; c < changed.size(); ++c) {
       if (changed[c] != 0) to_resample.push_back(static_cast<ClassId>(c));
     }
+    // The plan's answers already follow the restored gaps and shifts; this
+    // walk is only the change notice's bill.
     gov.plan_.resample_classes(to_resample);
-    // Seeded last: the targeted resample above books its own visits, but the
+    // Seeded last: the change-notice bill above books its own visits, but the
     // restored totals must be exactly the stored ones (bit-exact re-encode).
     std::vector<std::uint64_t> regs, visits;
     for (const SnapshotInfo::CopyNode& c : info.copy_nodes) {

@@ -81,9 +81,10 @@
 // snapshot bytes, and it accepts kSnapshotVersion alone.  decode_snapshot
 // is parse_snapshot, then a check that the live class registry is large
 // enough, then apply; a file of any other version is rejected like a
-// corrupt one, so the run cold-starts.  Loading resamples only the classes
-// whose gaps or shifts actually differ from the live plan, so restoring a
-// snapshot into an already-warm world is not a full resample storm.
+// corrupt one, so the run cold-starts.  Loading bills the resampling walk
+// only for the classes whose gaps or shifts actually differ from the live
+// plan, so restoring a snapshot into an already-warm world is not a full
+// resample storm.
 #pragma once
 
 #include <condition_variable>

@@ -216,9 +216,9 @@ class CorrelationDaemon {
   }
 
   /// Rate control lives entirely on the governor: arm the paper's one-way
-  /// convergence loop with governor().arm(GovernorConfig::legacy(t)), the
-  /// closed-loop controller with a full GovernorConfig, and stop with
-  /// governor().disarm().
+  /// convergence loop with governor().arm(GovernorConfig::legacy(t)) or the
+  /// closed-loop controller with a full GovernorConfig; a governor never
+  /// armed stays passive.
   [[nodiscard]] bool converged() const noexcept { return governor_.converged(); }
 
   /// Seeds the previous-epoch map (snapshot warm start): the next epoch's

@@ -8,8 +8,6 @@
 namespace djvm {
 
 SamplingPlan::SamplingPlan(Heap& heap) : heap_(heap) {
-  sampled_.reserve(1024);
-  sample_bytes_.reserve(1024);
   // Tag anything allocated before the plan was attached.
   for (ObjectId o = 0; o < heap_.object_count(); ++o) on_alloc(o);
 }
@@ -56,12 +54,6 @@ std::uint32_t SamplingPlan::halve_gap(ClassId id) {
   return next;
 }
 
-std::uint32_t SamplingPlan::double_gap(ClassId id) {
-  Klass& k = heap_.registry().at(id);
-  set_nominal_gap(id, k.sampling.nominal_gap * 2);
-  return k.sampling.nominal_gap;
-}
-
 std::uint32_t SamplingPlan::real_gap(ClassId id) const {
   return heap_.registry().at(id).sampling.real_gap;
 }
@@ -70,53 +62,11 @@ std::uint32_t SamplingPlan::nominal_gap(ClassId id) const {
   return heap_.registry().at(id).sampling.nominal_gap;
 }
 
-void SamplingPlan::set_cost_attribution(CostAttribution mode) {
-  if (mode == attribution_) return;
-  attribution_ = mode;
-  // The base arrays change meaning (home-keyed bits vs cluster view) and
-  // per-copy views only exist in the cached-copy model: recompute from
-  // scratch.  The visits this pass books are drained by the next caller.
-  if (attribution_ == CostAttribution::kHomeNode) {
-    node_views_.clear();
-  } else {
-    // Nodes already carrying shifts need their own view under the new model.
-    for (std::size_t n = 0; n < node_shift_.size(); ++n) {
-      for (std::uint8_t s : node_shift_[n]) {
-        if (s != 0) {
-          ensure_node_view(static_cast<NodeId>(n));
-          break;
-        }
-      }
-    }
-  }
-  resample_all();
-}
-
 namespace {
 /// Effective nominal gaps are clamped here so a large base gap with a large
 /// shift cannot overflow (and the prime lookup stays in a sane range).
 constexpr std::uint64_t kMaxEffectiveNominal = 1u << 24;
 constexpr std::uint32_t kMaxNodeShift = 31;
-
-/// The core sampling decision for one object under one gap.
-struct SampleBits {
-  std::uint8_t sampled = 0;
-  std::uint32_t bytes = 0;
-};
-
-SampleBits compute_bits(const ObjectMeta& m, const Klass& k, std::uint32_t gap) {
-  SampleBits out;
-  if (k.is_array) {
-    const std::uint32_t n = SamplingPlan::sampled_elements(m.start_seq, m.length, gap);
-    out.sampled = n > 0 ? 1 : 0;
-    out.bytes = n * k.instance_size;
-  } else {
-    const bool s = (gap <= 1) || (m.start_seq % gap == 0);
-    out.sampled = s ? 1 : 0;
-    out.bytes = s ? m.size_bytes : 0;
-  }
-  return out;
-}
 }  // namespace
 
 void SamplingPlan::refresh_node_gap(NodeId node, ClassId id) {
@@ -134,21 +84,6 @@ void SamplingPlan::refresh_node_gap(NodeId node, ClassId id) {
       kMaxEffectiveNominal);
   node_real_gap_[ni][ci] =
       nominal <= 1 ? 1 : static_cast<std::uint32_t>(nearest_prime(nominal));
-}
-
-void SamplingPlan::ensure_node_view(NodeId node) {
-  if (attribution_ != CostAttribution::kCachedCopy) return;
-  const auto ni = static_cast<std::size_t>(node);
-  if (node_views_.size() <= ni) node_views_.resize(ni + 1);
-  NodeView& v = node_views_[ni];
-  if (v.active) return;
-  // Seed the view from the cluster view: a node picking up its first shift
-  // agrees with the base on every class it has no shift for, and the
-  // resampling walk the caller pairs with the shift refreshes the rest.
-  v.sampled = sampled_;
-  v.bytes = sample_bytes_;
-  v.gap = sample_gap_;
-  v.active = true;
 }
 
 void SamplingPlan::set_node_gap_shift(NodeId node, ClassId id, std::uint32_t shift) {
@@ -169,7 +104,6 @@ void SamplingPlan::set_node_gap_shift(NodeId node, ClassId id, std::uint32_t shi
   node_shift_[ni][ci] =
       static_cast<std::uint8_t>(std::min(shift, kMaxNodeShift));
   refresh_node_gap(node, id);
-  if (shift != 0) ensure_node_view(node);
 }
 
 std::uint32_t SamplingPlan::node_gap_shift(NodeId node, ClassId id) const {
@@ -182,9 +116,6 @@ std::uint32_t SamplingPlan::node_gap_shift(NodeId node, ClassId id) const {
 void SamplingPlan::clear_node_gap_shifts() {
   node_shift_.clear();
   node_real_gap_.clear();
-  // With every shift gone each node's view would only restate the cluster
-  // view; drop the copies so the hot path goes back to the base arrays.
-  node_views_.clear();
 }
 
 bool SamplingPlan::has_node_gap_shifts() const {
@@ -205,75 +136,11 @@ std::uint32_t SamplingPlan::effective_nominal_gap(NodeId node, ClassId id) const
       kMaxEffectiveNominal));
 }
 
-std::uint32_t SamplingPlan::effective_real_gap(NodeId node, ClassId id) const {
-  const auto ni = static_cast<std::size_t>(node);
-  const auto ci = static_cast<std::size_t>(id);
-  if (ni >= node_real_gap_.size() || ci >= node_real_gap_[ni].size() ||
-      node_real_gap_[ni][ci] == 0) {
-    return heap_.registry().at(id).sampling.real_gap;
-  }
-  return node_real_gap_[ni][ci];
-}
-
-std::uint32_t SamplingPlan::sampled_elements(std::uint32_t start_seq,
-                                             std::uint32_t length,
-                                             std::uint32_t gap) {
-  if (gap <= 1) return length;
-  // Multiples of gap in [start_seq, start_seq + length - 1].
-  const std::uint64_t hi = static_cast<std::uint64_t>(start_seq) + length - 1;
-  const std::uint64_t lo = start_seq;
-  return static_cast<std::uint32_t>(hi / gap - (lo - 1) / gap);
-}
-
-void SamplingPlan::recompute_node_view(NodeView& view, NodeId node, ObjectId obj) {
-  const ObjectMeta& m = heap_.meta(obj);
-  const Klass& k = heap_.registry().at(m.klass);
-  const std::uint32_t gap = effective_real_gap(node, m.klass);
-  const auto idx = static_cast<std::size_t>(obj);
-  if (view.sampled.size() <= idx) {
-    view.sampled.resize(idx + 1, 0);
-    view.bytes.resize(idx + 1, 0);
-    view.gap.resize(idx + 1, 1);
-  }
-  const SampleBits bits = compute_bits(m, k, gap);
-  view.sampled[idx] = bits.sampled;
-  view.bytes[idx] = bits.bytes;
-  view.gap[idx] = gap;
-}
-
-void SamplingPlan::recompute(ObjectId obj) {
-  const ObjectMeta& m = heap_.meta(obj);
-  const Klass& k = heap_.registry().at(m.klass);
-  // Cluster view: under the cached-copy model the base bit is the class base
-  // gap (nodes without shifts all agree on it); the legacy model keys the
-  // one cluster-wide bit to the *home* node's effective gap instead.
-  const std::uint32_t gap = attribution_ == CostAttribution::kHomeNode
-                                ? effective_real_gap(m.home, m.klass)
-                                : k.sampling.real_gap;
-  const auto idx = static_cast<std::size_t>(obj);
-  const SampleBits bits = compute_bits(m, k, gap);
-  sample_gap_[idx] = gap;
-  sampled_[idx] = bits.sampled;
-  sample_bytes_[idx] = bits.bytes;
-  for (std::size_t n = 0; n < node_views_.size(); ++n) {
-    if (node_views_[n].active) {
-      recompute_node_view(node_views_[n], static_cast<NodeId>(n), obj);
-    }
-  }
-}
-
 void SamplingPlan::on_alloc(ObjectId obj) {
-  const auto idx = static_cast<std::size_t>(obj);
-  if (idx >= sampled_.size()) {
-    sampled_.resize(idx + 1, 0);
-    sample_bytes_.resize(idx + 1, 0);
-    sample_gap_.resize(idx + 1, 1);
-  }
   // Classes loaded after the cluster-wide rate was chosen inherit it on
   // their first allocation (class loading is lazy in a JVM).
-  Klass& k = heap_.registry().at(heap_.meta(obj).klass);
+  const Klass& k = heap_.registry().at(heap_.meta(obj).klass);
   if (!k.sampling.initialized) set_rate(k.id, default_rate_x_);
-  recompute(obj);
 }
 
 bool SamplingPlan::node_caches(NodeId node, ObjectId obj) const {
@@ -281,26 +148,14 @@ bool SamplingPlan::node_caches(NodeId node, ObjectId obj) const {
   return heap_.meta(obj).home == node;
 }
 
-void SamplingPlan::note_copy_registered(NodeId node, ObjectId obj) {
+void SamplingPlan::note_copy_registered(NodeId node, ObjectId /*obj*/) {
   if (node == kInvalidNode) return;
   if (copy_registrations_.size() <= node) copy_registrations_.resize(node + 1, 0);
   ++copy_registrations_[node];
-  // A shifted node's view is only guaranteed fresh for copies it held when
-  // the shift moved (the per-node resample walks cached copies only): a
-  // fresh fault-in recomputes the bit under the node's current gap.
-  const auto ni = static_cast<std::size_t>(node);
-  if (ni < node_views_.size() && node_views_[ni].active) {
-    recompute_node_view(node_views_[ni], node, obj);
-  }
 }
 
 void SamplingPlan::on_home_migrated(ObjectId obj, NodeId from, NodeId to) {
-  // Under the legacy home-node model the cluster-wide bit is keyed to the
-  // home's gap shift: re-key it under the new home *now* rather than letting
-  // the old home's decision linger until the next full resample.  Under the
-  // cached-copy model the base bit is home-independent, but the recompute
-  // keeps every active view fresh too.  The new home pays the visit.
-  recompute(obj);
+  // The new home pays one visit to re-key the object under its own gap.
   note_resampled(to);
   // The old home keeps the payload as an ordinary cached copy now.
   note_copy_registered(from, obj);
@@ -325,24 +180,23 @@ std::size_t SamplingPlan::note_resampled_copies(ObjectId obj) {
   return 1;
 }
 
-std::size_t SamplingPlan::resample_class(ClassId id) {
-  return resample_classes({id});
-}
-
-std::size_t SamplingPlan::resample_classes(const std::vector<ClassId>& ids) {
-  if (ids.empty()) return 0;
+std::vector<std::uint8_t> SamplingPlan::class_mask(const std::vector<ClassId>& ids) const {
   std::vector<std::uint8_t> wanted(heap_.registry().size(), 0);
   for (ClassId id : ids) {
     if (static_cast<std::size_t>(id) < wanted.size()) {
       wanted[static_cast<std::size_t>(id)] = 1;
     }
   }
+  return wanted;
+}
+
+std::size_t SamplingPlan::resample_classes(const std::vector<ClassId>& ids) {
+  if (ids.empty()) return 0;
+  const std::vector<std::uint8_t> wanted = class_mask(ids);
   std::size_t visited = 0;
   for (ObjectId o = 0; o < heap_.object_count(); ++o) {
-    const ObjectMeta& m = heap_.meta(o);
-    if (static_cast<std::size_t>(m.klass) < wanted.size() &&
-        wanted[static_cast<std::size_t>(m.klass)] != 0) {
-      recompute(o);
+    const auto ci = static_cast<std::size_t>(heap_.meta(o).klass);
+    if (ci < wanted.size() && wanted[ci] != 0) {
       visited += note_resampled_copies(o);
     }
   }
@@ -352,37 +206,19 @@ std::size_t SamplingPlan::resample_classes(const std::vector<ClassId>& ids) {
 std::size_t SamplingPlan::resample_classes_on_node(NodeId node,
                                                    const std::vector<ClassId>& ids) {
   if (ids.empty()) return 0;
-  std::vector<std::uint8_t> wanted(heap_.registry().size(), 0);
-  for (ClassId id : ids) {
-    if (static_cast<std::size_t>(id) < wanted.size()) {
-      wanted[static_cast<std::size_t>(id)] = 1;
-    }
-  }
-  const auto ni = static_cast<std::size_t>(node);
-  NodeView* view = ni < node_views_.size() && node_views_[ni].active
-                       ? &node_views_[ni]
-                       : nullptr;
+  const std::vector<std::uint8_t> wanted = class_mask(ids);
   std::size_t visited = 0;
   for (ObjectId o = 0; o < heap_.object_count(); ++o) {
     const ObjectMeta& m = heap_.meta(o);
-    if (static_cast<std::size_t>(m.klass) >= wanted.size() ||
-        wanted[static_cast<std::size_t>(m.klass)] == 0) {
-      continue;
-    }
-    if (attribution_ == CostAttribution::kCachedCopy) {
-      // The walk covers exactly the copies this node holds — remote-homed
-      // objects it caches included, objects it homes but also everything it
-      // pulled in.  The walking node pays every visit.
-      if (!node_caches(node, o)) continue;
-      if (view != nullptr) {
-        recompute_node_view(*view, node, o);
-      } else {
-        recompute(o);  // no shifts anywhere: the base view is this node's view
-      }
-    } else {
-      if (m.home != node) continue;
-      recompute(o);
-    }
+    const auto ci = static_cast<std::size_t>(m.klass);
+    if (ci >= wanted.size() || wanted[ci] == 0) continue;
+    // Under cached-copy attribution the walk covers exactly the copies this
+    // node holds — remote-homed objects it caches included; the legacy
+    // model walks the objects it homes.  The walking node pays every visit.
+    const bool walks = attribution_ == CostAttribution::kCachedCopy
+                           ? node_caches(node, o)
+                           : m.home == node;
+    if (!walks) continue;
     note_resampled(node);
     ++visited;
   }
@@ -390,15 +226,8 @@ std::size_t SamplingPlan::resample_classes_on_node(NodeId node,
 }
 
 std::size_t SamplingPlan::resample_all() {
-  const std::size_t n = heap_.object_count();
-  if (sampled_.size() < n) {
-    sampled_.resize(n, 0);
-    sample_bytes_.resize(n, 0);
-    sample_gap_.resize(n, 1);
-  }
   std::size_t visited = 0;
-  for (ObjectId o = 0; o < n; ++o) {
-    recompute(o);
+  for (ObjectId o = 0; o < heap_.object_count(); ++o) {
     visited += note_resampled_copies(o);
   }
   return visited;
@@ -417,12 +246,10 @@ void SamplingPlan::seed_copy_bookkeeping(std::vector<std::uint64_t> registration
 }
 
 std::uint64_t SamplingPlan::estimated_full_bytes(ObjectId obj) const {
-  const auto idx = static_cast<std::size_t>(obj);
-  if (idx >= sampled_.size() || sampled_[idx] == 0) return 0;
-  // sample_gap_ is the gap cached at the last (re)sample — the same gap the
-  // sampled bit and amortized size were computed under, so the HT estimate
-  // stays consistent.
-  return static_cast<std::uint64_t>(sample_bytes_[idx]) * sample_gap_[idx];
+  // The bytes and the gap come from one answer, so the HT estimate stays
+  // consistent; an unsampled object has no bytes.
+  const CopySample s = sample(obj);
+  return static_cast<std::uint64_t>(s.bytes) * s.gap;
 }
 
 void SamplingPlan::begin_epoch_stats() {
@@ -458,20 +285,6 @@ void SamplingPlan::note_epoch_node_entry(NodeId node, ClassId id,
   ClassEpochStats& s = row[ci];
   ++s.entries;
   s.estimated_bytes += static_cast<std::uint64_t>(bytes) * std::max<std::uint32_t>(1, gap);
-}
-
-std::uint64_t SamplingPlan::sampled_count() const {
-  std::uint64_t n = 0;
-  for (std::uint8_t b : sampled_) n += b;
-  return n;
-}
-
-std::uint64_t SamplingPlan::sampled_count(NodeId node) const {
-  const auto ni = static_cast<std::size_t>(node);
-  if (ni >= node_views_.size() || !node_views_[ni].active) return sampled_count();
-  std::uint64_t n = 0;
-  for (std::uint8_t b : node_views_[ni].sampled) n += b;
-  return n;
 }
 
 }  // namespace djvm

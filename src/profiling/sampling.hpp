@@ -14,15 +14,20 @@
 // *gap shift* per class: the node's effective nominal gap is the class gap
 // doubled `shift` times (effective real gap = its nearest prime).
 //
-// Sampling state is kept **per cached copy**, the paper's cost model: "upon
+// Sampling is decided **per cached copy**, the paper's cost model: "upon
 // receiving a change notice for a specific class, every thread will iterate
-// through all objects of that class *it caches*".  Each node reads (and
-// recomputes) the sampled bit of its own copy under its *own* effective gap,
-// so a per-(node, class) shift changes what that node samples and logs — and
-// the resampling walk it pays for covers the objects it caches, not the
-// objects it happens to home.  The legacy home-node model (the object's home
-// owns one cluster-wide bit; resampling visits are billed to homes) is kept
+// through all objects of that class *it caches*".  Each node reads the
+// sampled bit of its own copy under its *own* effective gap, so a
+// per-(node, class) shift changes what that node samples and logs — and the
+// resampling walk it pays for covers the objects it caches, not the objects
+// it happens to home.  The legacy home-node model (the object's home owns
+// one cluster-wide bit; resampling visits are billed to homes) is kept
 // behind CostAttribution::kHomeNode for ablation benches.
+//
+// No answer is cached: every query computes the bit, the amortized bytes
+// and the gap from the object's metadata and the reader's current gap, so a
+// rate change takes effect at once.  The resampling walks only bill the
+// visits the paper's model charges for.
 #pragma once
 
 #include <algorithm>
@@ -58,10 +63,18 @@ class CopySetView {
   [[nodiscard]] virtual std::uint32_t copy_node_count() const = 0;
 };
 
-/// Cluster-wide sampling state: per-class gaps plus cached sampled bits and
-/// amortized sample sizes (recomputed on rate changes, the paper's
-/// "resampling" pass).  The base arrays hold the cluster view (no shift);
-/// nodes carrying gap shifts get their own per-copy view on top.
+/// One copy's sampling answer: the sampled bit, the amortized sample size in
+/// bytes (0 when unsampled) and the real gap both were decided under (0 for
+/// ids outside the heap).
+struct CopySample {
+  bool sampled = false;
+  std::uint32_t bytes = 0;
+  std::uint32_t gap = 0;
+};
+
+/// Cluster-wide sampling state: per-class gaps, per-(node, class) gap
+/// shifts, and the bill of the paper's "resampling" pass.  Sampled bits are
+/// computed on demand from the object's metadata and the reader's gap.
 class SamplingPlan {
  public:
   explicit SamplingPlan(Heap& heap);
@@ -82,9 +95,6 @@ class SamplingPlan {
   /// at full sampling.  Returns the new nominal gap.
   std::uint32_t halve_gap(ClassId id);
 
-  /// Doubles the class's nominal gap (halves its rate).
-  std::uint32_t double_gap(ClassId id);
-
   [[nodiscard]] std::uint32_t real_gap(ClassId id) const;
   [[nodiscard]] std::uint32_t nominal_gap(ClassId id) const;
 
@@ -92,8 +102,8 @@ class SamplingPlan {
   /// Switches between the cached-copy model (default: each caching node owns
   /// its copy's bit and pays its own resampling) and the legacy home-node
   /// model (one cluster-wide bit under the home's gap, visits billed to
-  /// homes).  Changing the model recomputes every bit.
-  void set_cost_attribution(CostAttribution mode);
+  /// homes).  Answers follow the new model at once.
+  void set_cost_attribution(CostAttribution mode) noexcept { attribution_ = mode; }
   [[nodiscard]] CostAttribution cost_attribution() const noexcept {
     return attribution_;
   }
@@ -102,16 +112,16 @@ class SamplingPlan {
   /// walks iterate.  The view must outlive its registration; the GOS
   /// deregisters itself on destruction.
   void set_copy_view(const CopySetView* view) noexcept { copies_ = view; }
-  [[nodiscard]] const CopySetView* copy_view() const noexcept { return copies_; }
 
   // --- per-(node, class) effective gaps -------------------------------------
   /// Sets `node`'s backoff shift for class `id` (effective nominal gap =
-  /// class nominal << shift).  A shift of 0 restores the cluster gap.  Does
-  /// not resample; pair with resample_classes_on_node.
+  /// class nominal << shift).  A shift of 0 restores the cluster gap.  The
+  /// node's answers change at once; pair with resample_classes_on_node to
+  /// bill the change notice.
   void set_node_gap_shift(NodeId node, ClassId id, std::uint32_t shift);
   [[nodiscard]] std::uint32_t node_gap_shift(NodeId node, ClassId id) const;
   /// Drops every per-node shift back to the cluster view (snapshot loads and
-  /// governor re-arms).  Does not resample.
+  /// governor re-arms).  Bills nothing.
   void clear_node_gap_shifts();
   /// True when any (node, class) carries a nonzero shift.
   [[nodiscard]] bool has_node_gap_shifts() const;
@@ -121,7 +131,9 @@ class SamplingPlan {
     return node_shift_.size();
   }
   [[nodiscard]] std::uint32_t effective_nominal_gap(NodeId node, ClassId id) const;
-  [[nodiscard]] std::uint32_t effective_real_gap(NodeId node, ClassId id) const;
+  [[nodiscard]] std::uint32_t effective_real_gap(NodeId node, ClassId id) const {
+    return reader_gap(node, heap_.registry().at(id));
+  }
 
   /// The nX rate implied by `rate_x` for a class of instance size `s`:
   /// nominal gap = max(1, page / (s * n)).  Exposed for tests.
@@ -129,51 +141,38 @@ class SamplingPlan {
                                                           std::uint32_t rate_x);
 
   // --- per-object queries (hot path) ---------------------------------------
-  /// Cluster-view sampled bit (under the class base gap; under the home
-  /// node's effective gap in the legacy home-node model).
-  [[nodiscard]] bool is_sampled(ObjectId obj) const {
-    return obj < sampled_.size() && sampled_[static_cast<std::size_t>(obj)] != 0;
+  /// The answer for `reader`'s copy of `obj` under that node's effective
+  /// gap: a node without a shift for the class reads the class base gap.
+  /// Under the home-node model the reader is always the object's home.  Ids
+  /// at or past object_count() are unsampled with gap 0 — a gap of 1 would
+  /// read as sampled-every-access and inflate Horvitz-Thompson estimates
+  /// built from a bogus entry.
+  [[nodiscard]] CopySample sample(NodeId reader, ObjectId obj) const {
+    if (obj >= heap_.object_count()) return {};
+    const ObjectMeta& m = heap_.meta(obj);
+    if (attribution_ == CostAttribution::kHomeNode) reader = m.home;
+    const Klass& k = heap_.registry().all()[static_cast<std::size_t>(m.klass)];
+    return compute_bits(m, k, reader_gap(reader, k));
   }
-  /// Sampled bit of `node`'s copy, under that node's effective gap.  Nodes
-  /// without a per-copy view (no shifts) read the cluster view.
+  /// Cluster-view answer: the class base gap (the home's effective gap
+  /// under the home-node model).
+  [[nodiscard]] CopySample sample(ObjectId obj) const {
+    return sample(kInvalidNode, obj);
+  }
+  [[nodiscard]] bool is_sampled(ObjectId obj) const { return sample(obj).sampled; }
   [[nodiscard]] bool is_sampled(NodeId node, ObjectId obj) const {
-    const auto ni = static_cast<std::size_t>(node);
-    if (ni < node_views_.size() && node_views_[ni].active) [[unlikely]] {
-      const NodeView& v = node_views_[ni];
-      return obj < v.sampled.size() && v.sampled[static_cast<std::size_t>(obj)] != 0;
-    }
-    return is_sampled(obj);
+    return sample(node, obj).sampled;
   }
   /// Amortized sample size in bytes (0 when unsampled): full object size for
   /// scalars, sampled_elements x element_size for arrays.
-  [[nodiscard]] std::uint32_t sample_bytes(ObjectId obj) const {
-    return obj < sample_bytes_.size() ? sample_bytes_[static_cast<std::size_t>(obj)] : 0;
-  }
-  /// Amortized sample size of `node`'s copy under that node's effective gap.
+  [[nodiscard]] std::uint32_t sample_bytes(ObjectId obj) const { return sample(obj).bytes; }
   [[nodiscard]] std::uint32_t sample_bytes(NodeId node, ObjectId obj) const {
-    const auto ni = static_cast<std::size_t>(node);
-    if (ni < node_views_.size() && node_views_[ni].active) [[unlikely]] {
-      const NodeView& v = node_views_[ni];
-      return obj < v.bytes.size() ? v.bytes[static_cast<std::size_t>(obj)] : 0;
-    }
-    return sample_bytes(obj);
+    return sample(node, obj).bytes;
   }
-  /// Gap cached per object at the last (re)sample, so the logging hot path
-  /// avoids a registry lookup.  Out-of-range objects (never registered with
-  /// the plan) report 0 = unsampled — returning 1 here would treat an
-  /// unknown object as sampled-every-access and inflate Horvitz-Thompson
-  /// estimates built from its entries.
-  [[nodiscard]] std::uint32_t gap_of(ObjectId obj) const {
-    return obj < sample_gap_.size() ? sample_gap_[static_cast<std::size_t>(obj)] : 0;
-  }
-  /// Gap of `node`'s copy at its last (re)sample (0 = unregistered).
+  /// Real gap the answer was decided under (0 = not a heap object).
+  [[nodiscard]] std::uint32_t gap_of(ObjectId obj) const { return sample(obj).gap; }
   [[nodiscard]] std::uint32_t gap_of(NodeId node, ObjectId obj) const {
-    const auto ni = static_cast<std::size_t>(node);
-    if (ni < node_views_.size() && node_views_[ni].active) [[unlikely]] {
-      const NodeView& v = node_views_[ni];
-      return obj < v.gap.size() ? v.gap[static_cast<std::size_t>(obj)] : 0;
-    }
-    return gap_of(obj);
+    return sample(node, obj).gap;
   }
   /// Horvitz-Thompson estimate of the object's full byte contribution:
   /// sample_bytes x gap.  For arrays this reconstructs ~ length x elem size;
@@ -181,37 +180,30 @@ class SamplingPlan {
   [[nodiscard]] std::uint64_t estimated_full_bytes(ObjectId obj) const;
 
   // --- maintenance ----------------------------------------------------------
-  /// Tags a freshly allocated object (called from the GOS allocation path).
+  /// Assigns the cluster default rate to a class on its first allocation
+  /// (called from the GOS allocation path).
   void on_alloc(ObjectId obj);
 
-  /// Re-registers a copy's sampled bit when `node` faults it in (or
-  /// prefetches it): the bit is recomputed under the *caching* node's
-  /// current effective gap, so a copy fetched after a shift moved is never
-  /// read stale.  Also counts the registration (snapshot v3 summary).
+  /// Counts a copy registration when `node` faults `obj` in (or prefetches
+  /// it) for the snapshot v3 summary.
   void note_copy_registered(NodeId node, ObjectId obj);
 
-  /// Home migration: recomputes the object's bits so the legacy home-node
-  /// model re-keys it under the *new* home's gap shift immediately (instead
-  /// of keeping the old home's decision until the next full resample), and
-  /// re-registers the old home's now-cached copy.
+  /// Home migration: the new home pays one visit (it re-keys the object
+  /// under its own gap — under the home-node model the answer follows the
+  /// home at once), and the old home's now-cached copy is re-registered.
   void on_home_migrated(ObjectId obj, NodeId from, NodeId to);
 
-  /// Recomputes sampled bits for every object of class `id` ("Upon receiving
-  /// a change notice for a specific class, every thread will iterate through
-  /// all objects of that class it caches...").  Returns copy visits paid:
-  /// one per (caching node, object) pair under cached-copy attribution, one
-  /// per object under the home-node model.
-  std::size_t resample_class(ClassId id);
-
-  /// Recomputes sampled bits for every object of the listed classes in a
-  /// single heap pass (rate changes touching several classes would
-  /// otherwise pay one full scan per class).  Returns copy visits paid.
+  /// Bills the change notice for the listed classes in a single heap pass
+  /// ("Upon receiving a change notice for a specific class, every thread
+  /// will iterate through all objects of that class it caches...").  Returns
+  /// copy visits paid: one per (caching node, object) pair under cached-copy
+  /// attribution, one per object under the home-node model.
   std::size_t resample_classes(const std::vector<ClassId>& ids);
 
-  /// Like resample_classes, but walks only the objects `node` actually
-  /// caches (home copies included) and recomputes that node's view alone —
-  /// a per-node gap shift only invalidates that node's copy bits.  Under
-  /// the home-node model the walk degenerates to objects homed at `node`.
+  /// Like resample_classes, but bills only the objects `node` actually
+  /// caches (home copies included) — a per-node gap shift only concerns
+  /// that node's copies.  Under the home-node model the walk degenerates to
+  /// objects homed at `node`.
   std::size_t resample_classes_on_node(NodeId node, const std::vector<ClassId>& ids);
 
   /// Full resampling pass over the heap; returns copy visits paid.
@@ -237,8 +229,8 @@ class SamplingPlan {
     return std::max(copy_registrations_.size(), resample_visits_.size());
   }
   /// Restores the bookkeeping counters from a snapshot (absolute values;
-  /// the decode path calls this after its own resample so the restored
-  /// totals are exactly the stored ones).
+  /// the decode path calls this after billing its change notice so the
+  /// restored totals are exactly the stored ones).
   void seed_copy_bookkeeping(std::vector<std::uint64_t> registrations,
                              std::vector<std::uint64_t> visits);
 
@@ -246,13 +238,12 @@ class SamplingPlan {
   /// gap `g` (number of multiples of g in that range).  Exposed for tests.
   [[nodiscard]] static std::uint32_t sampled_elements(std::uint32_t start_seq,
                                                       std::uint32_t length,
-                                                      std::uint32_t gap);
-
-  /// Total number of cluster-view sampled objects (for tests/benches).
-  [[nodiscard]] std::uint64_t sampled_count() const;
-  /// Number of objects sampled in `node`'s effective view (its per-copy view
-  /// when it has one, the cluster view otherwise).
-  [[nodiscard]] std::uint64_t sampled_count(NodeId node) const;
+                                                      std::uint32_t gap) {
+    if (gap <= 1) return length;
+    const std::uint64_t hi = static_cast<std::uint64_t>(start_seq) + length - 1;
+    const std::uint64_t lo = start_seq;
+    return static_cast<std::uint32_t>(hi / gap - (lo - 1) / gap);
+  }
 
   // --- per-epoch class stats (governor benefit/cost inputs) -----------------
   /// Resets the per-class accumulators (cluster and per-node) at the start
@@ -281,20 +272,31 @@ class SamplingPlan {
   [[nodiscard]] Heap& heap() noexcept { return heap_; }
 
  private:
-  /// Per-copy view of one node carrying gap shifts: the sampled bit,
-  /// amortized bytes, and gap of *this node's* copy of each object.
-  /// Materialized lazily (copied from the cluster view) when the node first
-  /// receives a shift; inactive nodes read the base arrays.
-  struct NodeView {
-    bool active = false;
-    std::vector<std::uint8_t> sampled;
-    std::vector<std::uint32_t> bytes;
-    std::vector<std::uint32_t> gap;
-  };
-
-  void recompute(ObjectId obj);
-  void recompute_node_view(NodeView& view, NodeId node, ObjectId obj);
-  void ensure_node_view(NodeId node);
+  /// The sampling decision for one object under one gap: scalars are
+  /// sampled iff their sequence number is a multiple of the gap, arrays log
+  /// the bytes of their sampled elements.
+  [[nodiscard]] static CopySample compute_bits(const ObjectMeta& m, const Klass& k,
+                                               std::uint32_t gap) {
+    if (k.is_array) {
+      const std::uint32_t n = sampled_elements(m.start_seq, m.length, gap);
+      return {n > 0, n * k.instance_size, gap};
+    }
+    const bool s = gap <= 1 || m.start_seq % gap == 0;
+    return {s, s ? m.size_bytes : 0u, gap};
+  }
+  /// `reader`'s effective real gap for class `k`: the cached shifted gap
+  /// where the node carries a shift, the class base gap otherwise.
+  [[nodiscard]] std::uint32_t reader_gap(NodeId reader, const Klass& k) const {
+    const auto ni = static_cast<std::size_t>(reader);
+    const auto ci = static_cast<std::size_t>(k.id);
+    if (ni < node_real_gap_.size() && ci < node_real_gap_[ni].size() &&
+        node_real_gap_[ni][ci] != 0) [[unlikely]] {
+      return node_real_gap_[ni][ci];
+    }
+    return k.sampling.real_gap;
+  }
+  /// Flags the listed classes in a table indexed by ClassId.
+  [[nodiscard]] std::vector<std::uint8_t> class_mask(const std::vector<ClassId>& ids) const;
   /// True when `node` holds a copy of `obj` (home counts); falls back to
   /// home-only when no copy view is registered.
   [[nodiscard]] bool node_caches(NodeId node, ObjectId obj) const;
@@ -315,10 +317,6 @@ class SamplingPlan {
   std::uint32_t default_rate_x_ = 0;
   CostAttribution attribution_ = CostAttribution::kCachedCopy;
   const CopySetView* copies_ = nullptr;
-  std::vector<std::uint8_t> sampled_;
-  std::vector<std::uint32_t> sample_bytes_;
-  std::vector<std::uint32_t> sample_gap_;
-  std::vector<NodeView> node_views_;
   std::vector<ClassEpochStats> epoch_stats_;
   std::vector<std::vector<ClassEpochStats>> node_epoch_stats_;
   /// Per-node backoff doublings on top of the class nominal gap, and the

@@ -1,7 +1,8 @@
 // Cached-copy sampling-cost attribution: the accessing node's copy bit
 // drives logging, resampling walks cover exactly the copies a node caches
-// (and bill the walker), fault-in registers bits under the current shift,
-// and home migration re-keys sampling state immediately.
+// (and bill the walker), gap changes and shifts take effect at once — a
+// fresh fault-in reads the current shift — and home migration re-keys the
+// legacy home-node bit immediately.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -108,10 +109,22 @@ TEST(CachedCopySampling, ClusterResampleBillsEveryCachingNode) {
   SamplingPlan& plan = w.djvm->plan();
   plan.set_nominal_gap(w.hot, 4);
   w.run_epoch();  // both nodes hold copies now (node 0 homes, node 1 caches)
+  // The gap change took effect at once: the epoch run before any resample
+  // already logged under the new gap.
+  std::size_t entries = 0;
+  for (const OalArena& log : drain_hub(*w.djvm->ingest_hub())) {
+    for (const ArenaInterval& iv : log.intervals) {
+      for (std::uint32_t i = iv.begin; i < iv.end; ++i) {
+        ++entries;
+        EXPECT_EQ(log.entries[i].gap, plan.real_gap(w.hot));
+      }
+    }
+  }
+  EXPECT_GT(entries, 0u);
   (void)plan.drain_resampled_by_node();
 
   plan.set_nominal_gap(w.hot, 8);
-  const std::size_t visited = plan.resample_class(w.hot);
+  const std::size_t visited = plan.resample_classes({w.hot});
   // "Every thread will iterate through all objects of that class it
   // caches": one visit per (caching node, object) pair.
   EXPECT_EQ(visited, 80u);
@@ -136,9 +149,8 @@ TEST(CachedCopySampling, FaultInRegistersBitUnderCurrentShift) {
   const std::uint32_t shifted_gap = plan.effective_real_gap(1, w.hot);
   const std::uint64_t regs_before = plan.copy_registrations(1);
 
-  // Fault-in registers the fresh copy's bit under node 1's *current* gap —
-  // without this the view would keep the pre-shift decision it was seeded
-  // with when the view materialized.
+  // Fault-in counts the registration, and the fresh copy reads node 1's
+  // *current* gap, though the walk above never visited it.
   w.djvm->read(1, late);
   EXPECT_GT(plan.copy_registrations(1), regs_before);
   EXPECT_EQ(plan.gap_of(1, late), shifted_gap);

@@ -16,6 +16,7 @@
 #include "profiling/correlation_daemon.hpp"
 
 #include "ingest_helpers.hpp"
+#include "sampling_helpers.hpp"
 #include "snapshot_helpers.hpp"
 
 namespace djvm {
@@ -645,19 +646,19 @@ TEST_F(GovernorTest, LegacyModeMatchesSeedOneWayLoop) {
 TEST_F(GovernorTest, SamplingPlanResamplesOnFullToCoarseFlip) {
   plan.set_nominal_gap(hot, 1);
   plan.resample_all();
-  const std::uint64_t full_count = plan.sampled_count();
+  const std::uint64_t full_count = count_sampled(plan);
 
   // Flip hot from full sampling to a coarse gap, as a backoff would.
   plan.set_nominal_gap(hot, 32);
-  const std::size_t visited = plan.resample_class(hot);
+  const std::size_t visited = plan.resample_classes({hot});
   EXPECT_EQ(visited, 128u);  // every hot object re-evaluated
-  const std::uint64_t coarse_count = plan.sampled_count();
+  const std::uint64_t coarse_count = count_sampled(plan);
   EXPECT_LT(coarse_count, full_count);
 
   // And back to full sampling: every object sampled again.
   plan.set_nominal_gap(hot, 1);
-  plan.resample_class(hot);
-  EXPECT_EQ(plan.sampled_count(), full_count);
+  plan.resample_classes({hot});
+  EXPECT_EQ(count_sampled(plan), full_count);
 }
 
 TEST_F(GovernorTest, SnapshotRoundTripsBitExactly) {
@@ -895,7 +896,7 @@ class PerNodeGovernorTest : public ::testing::Test {
 TEST_F(PerNodeGovernorTest, EffectiveGapsFollowNodeShift) {
   plan.set_nominal_gap(hot, 8);
   plan.resample_all();
-  const std::uint64_t before = plan.sampled_count();
+  const std::uint64_t before = count_sampled(plan);
 
   plan.set_node_gap_shift(1, hot, 2);  // node 1: 8 << 2 = 32, prime 31
   EXPECT_EQ(plan.effective_nominal_gap(1, hot), 32u);
@@ -906,11 +907,11 @@ TEST_F(PerNodeGovernorTest, EffectiveGapsFollowNodeShift) {
   // No copy view registered: the walk degenerates to node 1's homed objects.
   const std::size_t visited = plan.resample_classes_on_node(1, {hot});
   EXPECT_EQ(visited, 128u);  // only node 1's copies re-evaluated
-  // The shift coarsens node 1's *own* copy view; the cluster view (what
-  // every unshifted node samples under) is untouched.
-  EXPECT_LT(plan.sampled_count(1), before);
-  EXPECT_EQ(plan.sampled_count(), before);
-  EXPECT_EQ(plan.sampled_count(0), before);
+  // The shift coarsens node 1's *own* copies; the cluster view (what every
+  // unshifted node samples under) is untouched.
+  EXPECT_LT(count_sampled(plan, 1), before);
+  EXPECT_EQ(count_sampled(plan), before);
+  EXPECT_EQ(count_sampled(plan, 0), before);
 
   // Base-gap changes propagate through the shift.
   plan.set_nominal_gap(hot, 16);
@@ -1037,10 +1038,10 @@ TEST_F(PerNodeGovernorTest, CooledNodeShiftsDecayBackToClusterView) {
 TEST_F(PerNodeGovernorTest, RearmDropsNodeShiftsAndResamples) {
   plan.set_nominal_gap(hot, 8);
   plan.resample_all();
-  const std::uint64_t base_count = plan.sampled_count();
+  const std::uint64_t base_count = count_sampled(plan);
   plan.set_node_gap_shift(1, hot, 3);
   plan.resample_classes_on_node(1, {hot});
-  ASSERT_LT(plan.sampled_count(1), base_count);
+  ASSERT_LT(count_sampled(plan, 1), base_count);
 
   // Arming a mode that can never relax shifts (legacy) must not leave the
   // previously hot node silently under-sampled: shifts drop with the rest
@@ -1049,8 +1050,8 @@ TEST_F(PerNodeGovernorTest, RearmDropsNodeShiftsAndResamples) {
   Governor gov(plan);
   gov.arm(djvm::GovernorConfig::legacy(0.05));
   EXPECT_FALSE(plan.has_node_gap_shifts());
-  EXPECT_EQ(plan.sampled_count(1), base_count);
-  EXPECT_EQ(plan.sampled_count(), base_count);
+  EXPECT_EQ(count_sampled(plan, 1), base_count);
+  EXPECT_EQ(count_sampled(plan), base_count);
 }
 
 TEST_F(PerNodeGovernorTest, SnapshotV2RoundTripsPerNodeState) {

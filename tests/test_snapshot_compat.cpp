@@ -20,6 +20,7 @@
 #include "governor/governor.hpp"
 #include "governor/snapshot.hpp"
 
+#include "sampling_helpers.hpp"
 #include "snapshot_helpers.hpp"
 
 namespace djvm {
@@ -175,9 +176,9 @@ TEST_F(SnapshotCompatTest, FixtureShiftLoadsIntoCachedCopyPlan) {
   EXPECT_EQ(plan.effective_nominal_gap(1, hot), 16u << 3);
   EXPECT_TRUE(gov.config().per_node);
   EXPECT_DOUBLE_EQ(gov.config().node_budget, 0.015);
-  // The restored shift immediately drives the cached-copy plan: node 1's
-  // copy view samples coarser than the cluster view it was seeded from.
-  EXPECT_LT(plan.sampled_count(1), plan.sampled_count());
+  // The restored shift immediately drives the cached-copy plan: node 1
+  // samples coarser than the cluster view.
+  EXPECT_LT(count_sampled(plan, 1), count_sampled(plan));
   // The fixture's copy summary is empty: bookkeeping restarts at zero.
   EXPECT_EQ(plan.copy_registrations(0), 0u);
   EXPECT_EQ(plan.resample_visits(1), 0u);
