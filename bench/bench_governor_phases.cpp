@@ -24,6 +24,7 @@
 #include "common/rng.hpp"
 #include "governor/governor.hpp"
 #include "harness.hpp"
+#include "temp_dir.hpp"
 
 using namespace djvm;
 using namespace djvm::bench;
@@ -78,7 +79,9 @@ struct RunLog {
   bool export_ok = false;            ///< export runs: every write landed
 };
 
-RunLog run(RunMode mode, bool with_export = false) {
+/// Runs one mode; with `export_dir`, snapshot + timeline every epoch into it.
+RunLog run(RunMode mode, const TempDir* export_dir = nullptr) {
+  const bool with_export = export_dir != nullptr;
   Config cfg;
   cfg.nodes = kNodes;
   cfg.threads = kThreads;
@@ -86,8 +89,8 @@ RunLog run(RunMode mode, bool with_export = false) {
   if (with_export) {
     // Snapshot + timeline every epoch through the async writer; the export
     // acceptance gates on this costing (almost) nothing per epoch.
-    cfg.export_.snapshot_path = "/tmp/bench_governor_phases_snapshot.bin";
-    cfg.export_.timeline_path = "/tmp/bench_governor_phases_timeline.jsonl";
+    cfg.export_.snapshot_path = export_dir->file("snapshot.bin");
+    cfg.export_.timeline_path = export_dir->file("timeline.jsonl");
   }
   Djvm djvm(cfg);
   djvm.spawn_threads_round_robin(kThreads);
@@ -213,8 +216,10 @@ int main() {
   const RunLog legacy = run(RunMode::kLegacy);
   const RunLog oracle = run(RunMode::kOracle);
   // Identical governed run with per-epoch snapshot + timeline export: the
-  // async writer must not stall the epoch loop.
-  const RunLog exported = run(RunMode::kGoverned, /*with_export=*/true);
+  // async writer must not stall the epoch loop.  Its files go to a private
+  // directory, removed at exit, so concurrent runs never clobber each other.
+  const TempDir export_dir("bench_governor_phases_");
+  const RunLog exported = run(RunMode::kGoverned, &export_dir);
 
   TextTable t({"Epoch", "Phase", "Gov ovh%", "Gov dist", "Gov action",
                "Gov hot gap", "Leg dist", "Leg hot gap"});
@@ -270,7 +275,7 @@ int main() {
   for (int i = 0; i < 2; ++i) {
     bare_wall = std::min(bare_wall, run(RunMode::kGoverned).wall_seconds);
     export_wall = std::min(
-        export_wall, run(RunMode::kGoverned, /*with_export=*/true).wall_seconds);
+        export_wall, run(RunMode::kGoverned, &export_dir).wall_seconds);
   }
   const double export_ratio = bare_wall > 0.0 ? export_wall / bare_wall : 1.0;
   std::cout << "Governed epoch-loop wall (best of 3): " << bare_wall * 1e3

@@ -78,7 +78,7 @@ Outcome run(bool prefetch) {
     // The matrix root is SOR's stack invariant: resolution walks root -> rows.
     std::vector<ObjectId> roots{w.matrix_root()};
     const MigrationOutcome mo = djvm.migration().migrate_with_resolution(
-        0, 1, stack, roots, fp, cfg.landmark_tolerance);
+        0, 1, stack, roots, fp, kLandmarkTolerance);
     out.prefetched = mo.prefetched_objects;
     out.sim_cost = mo.sim_cost;
   } else {

@@ -76,7 +76,7 @@ void quiet_epoch(Djvm& vm) {
 struct RunLog {
   std::vector<double> hot_frac;      ///< hot tenant rolling fraction per epoch
   std::vector<double> hot_grant;     ///< hot tenant granted budget per epoch
-  std::vector<double> cluster_frac;  ///< shared-meter aggregate per epoch
+  std::vector<double> cluster_frac;  ///< tenants' meters pooled per epoch
   SquareMatrix hot_map;
   std::uint32_t borrow_rounds = 0;  ///< rounds the hot grant beat fair share
   double min_grant = std::numeric_limits<double>::infinity();
@@ -100,7 +100,7 @@ RunLog run_arbitrated() {
     quiet_epoch(cluster.vm(1));
     quiet_epoch(cluster.vm(2));
     const ClusterCoordinator::ClusterEpoch round = cluster.run_epoch();
-    log.hot_frac.push_back(cluster.meter().rolling_fraction(0));
+    log.hot_frac.push_back(cluster.vm(0).governor().meter().rolling_fraction());
     log.hot_grant.push_back(round.arbitration.leases[0].granted_budget);
     log.cluster_frac.push_back(round.cluster_overhead);
     if (round.arbitration.leases[0].granted_budget > kFairShare + 1e-12) {
@@ -126,20 +126,19 @@ RunLog run_even_split() {
   }
   RequestServingApp app(hot_params());
   app.build(*vms[0]);
-  OverheadMeter meter({}, 4);  // same window as the coordinator's
+  // The cluster view pools the tenants' own meters, as the coordinator does.
+  std::vector<const OverheadMeter*> meters;
+  for (const auto& vm : vms) meters.push_back(&vm->governor().meter());
 
   RunLog log;
   for (std::uint32_t epoch = 0; epoch < kEpochs; ++epoch) {
     app.serve_epoch(*vms[0]);
     quiet_epoch(*vms[1]);
     quiet_epoch(*vms[2]);
-    for (auto& vm : vms) {
-      const EpochResult r = vm->run_epoch(EpochRequest{});
-      meter.record(r.sample);
-    }
-    log.hot_frac.push_back(meter.rolling_fraction(0));
+    for (auto& vm : vms) vm->run_epoch(EpochRequest{});
+    log.hot_frac.push_back(meters[0]->rolling_fraction());
     log.hot_grant.push_back(kFairShare);
-    log.cluster_frac.push_back(meter.rolling_fraction());
+    log.cluster_frac.push_back(OverheadMeter::pooled_rolling_fraction(meters));
   }
   log.hot_map = vms[0]->daemon().build_full();
   return log;
@@ -265,8 +264,8 @@ int main() {
   report.check("hot tenant borrows above its fair share in the steady tail",
                hot_tail_grant > kFairShare, hot_tail_grant, kFairShare, ">");
   report.check("every grant stays at or above the starvation floor",
-               arb.min_grant >= 0.25 * kFairShare - 1e-12, arb.min_grant,
-               0.25 * kFairShare, ">=");
+               arb.min_grant >= kFloorShare * kFairShare - 1e-12, arb.min_grant,
+               kFloorShare * kFairShare, ">=");
   report.check("granted total never exceeds the global budget",
                arb.max_granted_total <= kGlobalBudget + 1e-12,
                arb.max_granted_total, kGlobalBudget, "<=");

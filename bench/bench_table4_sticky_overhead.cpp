@@ -35,7 +35,7 @@ double run_with_resolution(const Config& cfg, const WorkloadFactory& make) {
       const ClassFootprint fp = djvm.footprints().footprint(t);
       if (!roots.empty() && fp.total() > 0.0) {
         resolved_bytes += resolve_sticky_set(djvm.heap(), djvm.plan(), roots, fp,
-                                             djvm.config().landmark_tolerance)
+                                             kLandmarkTolerance)
                               .bytes;
       }
     });

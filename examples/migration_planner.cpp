@@ -96,7 +96,7 @@ int main() {
 
   const auto before = djvm.gos().stats().object_faults;
   const MigrationOutcome out = djvm.migration().migrate_with_resolution(
-      migrant, dest, stack, roots, footprints[migrant], cfg.landmark_tolerance);
+      migrant, dest, stack, roots, footprints[migrant], kLandmarkTolerance);
   // Replay the migrant's block to expose the residual faults.
   for (std::uint32_t r = 1; r <= p.rows / cfg.threads; ++r) {
     djvm.gos().read(migrant, w.row_object(r));

@@ -33,9 +33,4 @@ SquareMatrix PageCorrelationTracker::build_tcm() const {
   return tcm;
 }
 
-void PageCorrelationTracker::reset() {
-  live_pages_.clear();
-  page_threads_.clear();
-}
-
 }  // namespace djvm

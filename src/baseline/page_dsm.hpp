@@ -44,7 +44,6 @@ class PageCorrelationTracker {
   [[nodiscard]] std::uint64_t pages_tracked() const noexcept {
     return page_threads_.size();
   }
-  void reset();
 
  private:
   const Heap& heap_;

@@ -4,9 +4,7 @@
 
 namespace djvm {
 
-ClusterCoordinator::ClusterCoordinator(ArbiterKnobs knobs, OverheadCosts costs,
-                                       std::size_t meter_window)
-    : arbiter_(knobs), meter_(costs, meter_window) {}
+ClusterCoordinator::ClusterCoordinator(ArbiterKnobs knobs) : arbiter_(knobs) {}
 
 TenantContext ClusterCoordinator::add_tenant(const Config& cfg) {
   slots_.push_back(Slot{std::make_unique<Djvm>(cfg)});
@@ -31,9 +29,6 @@ ClusterCoordinator::ClusterEpoch ClusterCoordinator::run_epoch() {
     EpochRequest req;
     req.bill_coordinator(bill);
     EpochResult r = s.vm->run_epoch(req);
-    // The shared meter sees the exact sample the tenant's own governor ran
-    // on; the tenant id it carries keeps the shared windows namespaced.
-    meter_.record(r.sample);
     TenantReport rep;
     rep.tenant = s.vm->config().tenant.id;
     rep.rolling_fraction = s.vm->governor().meter().rolling_fraction();
@@ -51,7 +46,10 @@ ClusterCoordinator::ClusterEpoch ClusterCoordinator::run_epoch() {
       }
     }
   }
-  out.cluster_overhead = meter_.rolling_fraction();
+  std::vector<const OverheadMeter*> meters;
+  meters.reserve(slots_.size());
+  for (const Slot& s : slots_) meters.push_back(&s.vm->governor().meter());
+  out.cluster_overhead = OverheadMeter::pooled_rolling_fraction(meters);
   if (log_.is_open()) {
     log_ << arbitration_line(out.arbitration, out.cluster_overhead);
     log_.flush();

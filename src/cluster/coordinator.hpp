@@ -2,13 +2,13 @@
 //
 // Each tenant is a full Djvm (its own heap, GOS, daemon, governor) built
 // from its own Config; the coordinator owns them all, runs their governed
-// epochs in lockstep, feeds a *shared* multi-tenant OverheadMeter from each
-// epoch's assembled sample (windows namespaced per (tenant, node) — one
-// tenant's idle epoch never clobbers another's signal), and lets the
-// BudgetArbiter re-divide the global budget between the tenants' governors
-// every epoch.  The arbiter's decision time is real coordinator work: it is
-// billed into the tenants' next-epoch coordinator buckets, split evenly,
-// through EpochRequest::bill_coordinator.  Each round can be appended to an
+// epochs in lockstep, reports each tenant's own meter to the BudgetArbiter,
+// and lets it re-divide the global budget between the tenants' governors
+// every epoch.  The cluster's overhead is the tenants' meters pooled, so one
+// tenant's idle epoch never clobbers another's signal.  The arbiter's
+// decision time is real coordinator work: it is billed into the tenants'
+// next-epoch coordinator buckets, split evenly, through
+// EpochRequest::bill_coordinator.  Each round can be appended to an
 // arbitration JSONL log (see export/timeline.hpp arbitration_line).
 #pragma once
 
@@ -24,8 +24,7 @@ namespace djvm {
 
 class ClusterCoordinator {
  public:
-  explicit ClusterCoordinator(ArbiterKnobs knobs = {}, OverheadCosts costs = {},
-                              std::size_t meter_window = 4);
+  explicit ClusterCoordinator(ArbiterKnobs knobs = {});
 
   /// Builds a tenant VM from `cfg`, registers it with the arbiter, and hands
   /// its governor the initial (fair-split) lease.  The tenant id must be
@@ -42,15 +41,13 @@ class ClusterCoordinator {
   }
 
   [[nodiscard]] BudgetArbiter& arbiter() noexcept { return arbiter_; }
-  /// The shared cluster meter (fed per-tenant; its unqualified fractions
-  /// aggregate across tenants — the cluster-ceiling view).
-  [[nodiscard]] const OverheadMeter& meter() const noexcept { return meter_; }
 
   /// Starts (truncates) the per-round arbitration JSONL log.
   void set_arbitration_log(const std::string& path);
 
   /// One cluster round's results: every tenant's epoch, the arbitration that
-  /// followed, and the shared meter's aggregate rolling fraction after it.
+  /// followed, and the tenants' meters pooled after it (one Σprof/Σapp over
+  /// every tenant's window, in slot order — the cluster-ceiling view).
   struct ClusterEpoch {
     std::vector<EpochResult> tenants;  ///< slot order
     ArbitrationOutcome arbitration;
@@ -58,9 +55,8 @@ class ClusterCoordinator {
   };
 
   /// Runs one governed epoch per tenant (billing the previous round's
-  /// arbitration share), feeds the shared meter and the arbiter's reports,
-  /// arbitrates, and pushes the recomputed leases back into the tenants'
-  /// governors.  The caller drives each tenant's application work between
+  /// arbitration share), feeds the arbiter's reports, arbitrates, and pushes
+  /// the recomputed leases back into the tenants' governors.  The caller drives each tenant's application work between
   /// rounds.
   ClusterEpoch run_epoch();
 
@@ -70,7 +66,6 @@ class ClusterCoordinator {
   };
 
   BudgetArbiter arbiter_;
-  OverheadMeter meter_;
   std::vector<Slot> slots_;
   std::ofstream log_;
   /// Last round's arbitration seconds, billed into the next round's epochs.

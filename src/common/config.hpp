@@ -30,8 +30,11 @@ enum class ExtractionMode : std::uint8_t {
 /// Sticky-set footprinting scheduling (paper Section III.A.1).
 enum class FootprintTimerMode : std::uint8_t {
   kNonstop,     ///< track during the whole interval
-  kTimerBased,  ///< alternate on/off phases of `footprint_phase` length
+  kTimerBased,  ///< alternate on/off phases of kFootprintPhase length
 };
+
+/// Length of each on and off phase of timer-based footprinting.
+inline constexpr SimTime kFootprintPhase = sim_ms(100);
 
 /// How the governor scores classes when picking back-off victims.
 enum class BackoffScoring : std::uint8_t {
@@ -64,19 +67,15 @@ struct GovernorKnobs {
   /// Arm the closed-loop governor (budgeted bidirectional rate control with
   /// phase detection) when the profiling config is applied.  Off by default:
   /// the legacy one-way loop stays opt-in via
-  /// governor().arm(GovernorConfig::legacy(threshold)).
+  /// governor().arm(GovernorConfig::legacy(threshold)).  The armed
+  /// governor enforces the budget per worker node (Atys-style bounded local
+  /// cost) and scores back-off victims by balancer influence; arm a
+  /// GovernorConfig directly for the cluster-aggregate policy or the
+  /// bytes-per-entry heuristic.
   bool enabled = false;
-  /// Overhead budget as a fraction of application time (0.02 = 2%).
+  /// Overhead budget as a fraction of application time (0.02 = 2%); each
+  /// node is held to the same fraction of its own application time.
   double budget = 0.02;
-  /// Enforce the budget per worker node (Atys-style bounded local cost):
-  /// back off only the classes dominating the worst offending node's cost,
-  /// tighten cluster-wide only when every node is under budget.  On by
-  /// default — the cluster-aggregate policy lets one hot node run far over
-  /// budget while the average looks fine; set false to reproduce it.
-  bool per_node = true;
-  /// Per-node overhead budget as a fraction of that node's application
-  /// time; 0 = inherit `budget`.
-  double node_budget = 0.0;
 };
 
 /// Long-haul retention knobs for the daemon's whole-run TCM store
@@ -105,8 +104,6 @@ struct ExportKnobs {
   /// same async writer — the epoch loop never blocks on the log disk.  The
   /// file is truncated at construction, so each run starts a fresh log.
   std::string timeline_path;
-  /// Influence entries per timeline line (largest shares first).
-  std::uint32_t timeline_top_k = 4;
 };
 
 /// Mid-run migration-execution knobs (Config::balance): the execution stage
@@ -129,12 +126,6 @@ struct BalanceKnobs {
   /// but execute nothing — reproduces the PR 5-era influence-only loop
   /// while paying the same planner cost as the executing run.
   bool dry_run = false;
-  /// After a thread migrates, also migrate the homes of its resolved
-  /// sticky-set objects still homed at the source node (their affinity
-  /// mass follows the migrant), batched into one transfer.
-  bool follow_homes = true;
-  /// Cap on follow-the-thread home migrations per executed migration.
-  std::uint32_t max_home_migrations = 64;
 };
 
 /// Fault-injection and reliable-transport knobs (Config::faults; see
@@ -210,26 +201,13 @@ struct TenantKnobs {
   double weight = 1.0;
 };
 
-/// Cluster budget-arbitration knobs (ArbiterKnobs; see governor/arbiter.hpp).
-/// Not nested in Config — one arbiter spans many tenant Configs.
+/// Cluster budget-arbitration knobs (ArbiterKnobs; see governor/arbiter.hpp
+/// for the fixed lending policy).  Not nested in Config — one arbiter spans
+/// many tenant Configs.
 struct ArbiterKnobs {
   /// Global overhead ceiling across all tenants, as a fraction of cluster
   /// application time (the sum of per-tenant grants never exceeds this).
   double global_budget = 0.02;
-  /// Guaranteed floor as a fraction of a tenant's fair share: even a maximal
-  /// borrower cannot push a tenant below floor_share * fair.  Prevents
-  /// priority-tier starvation.
-  double floor_share = 0.25;
-  /// Cap on any tenant's grant as a multiple of its fair share (bounds how
-  /// much one hot tenant can absorb from the lending pool).
-  double max_boost = 4.0;
-  /// A tenant lends budget when its rolling overhead uses less than this
-  /// fraction of its fair share; at or above the same line it qualifies as
-  /// hot and may borrow from the pool.
-  double lend_threshold = 0.60;
-  /// Fraction of a lender's idle headroom actually offered to the pool per
-  /// epoch (the rest is kept as slack so a waking tenant reclaims smoothly).
-  double lend_ratio = 0.75;
 };
 
 /// Central configuration.  Everything in the tree reads and writes the
@@ -249,8 +227,6 @@ struct Config {
   /// Convergence threshold on relative ABS distance for the adaptive
   /// rate controller.
   double adapt_threshold = 0.05;
-  /// Piggyback OAL messages on lock/barrier traffic when destinations match.
-  bool piggyback_oals = true;
   /// Who owns a shared object's sampling decision — the reading node under
   /// kCachedCopy, the object's home under kHomeNode — and pays its
   /// resampling cost (see CostAttribution; kHomeNode reproduces the pre-fix
@@ -260,9 +236,6 @@ struct Config {
 
   // --- profiling governor --------------------------------------------------
   GovernorKnobs governor{};
-  /// Back-off victim scoring (see BackoffScoring; kBytesPerEntry reproduces
-  /// the pre-influence heuristic for ablation benches).
-  BackoffScoring backoff_scoring = BackoffScoring::kInfluenceWeighted;
 
   // --- migration execution -------------------------------------------------
   BalanceKnobs balance{};
@@ -284,18 +257,12 @@ struct Config {
   bool stack_sampling = false;
   SimTime stack_sampling_gap = sim_ms(16);
   ExtractionMode extraction = ExtractionMode::kLazy;
-  /// Minimum consecutive surviving comparisons before a slot counts as a
-  /// stack-invariant reference.
-  std::uint32_t invariant_min_rounds = 2;
 
   // --- sticky-set footprinting --------------------------------------------
   bool footprinting = false;
   FootprintTimerMode footprint_timer = FootprintTimerMode::kTimerBased;
-  SimTime footprint_phase = sim_ms(100);
   /// Re-arm period for repeated in-interval tracking of sampled objects.
   SimTime footprint_rearm = sim_ms(10);
-  /// Landmark tolerance `t` for sticky-set resolution (paper: t > 1).
-  double landmark_tolerance = 2.0;
 
   // --- simulated machine ---------------------------------------------------
   SimCosts costs{};

@@ -1,25 +1,9 @@
 #include "common/stats.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
+#include <vector>
 
 namespace djvm {
-
-double mean(std::span<const double> xs) noexcept {
-  if (xs.empty()) return 0.0;
-  double s = 0.0;
-  for (double x : xs) s += x;
-  return s / static_cast<double>(xs.size());
-}
-
-double stddev(std::span<const double> xs) noexcept {
-  if (xs.size() < 2) return 0.0;
-  const double m = mean(xs);
-  double acc = 0.0;
-  for (double x : xs) acc += (x - m) * (x - m);
-  return std::sqrt(acc / static_cast<double>(xs.size()));
-}
 
 double median(std::span<const double> xs) {
   if (xs.empty()) return 0.0;
@@ -28,44 +12,6 @@ double median(std::span<const double> xs) {
   const std::size_t mid = v.size() / 2;
   if (v.size() % 2 == 1) return v[mid];
   return 0.5 * (v[mid - 1] + v[mid]);
-}
-
-double relative_diff(double a, double b) noexcept {
-  if (a == b) return 0.0;
-  if (b == 0.0) return std::numeric_limits<double>::infinity();
-  return std::abs(a - b) / std::abs(b);
-}
-
-void RunningStats::add(double x) noexcept {
-  if (n_ == 0) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-  sum_ += x;
-  ++n_;
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t buckets)
-    : lo_(lo), hi_(hi), counts_(buckets, 0) {}
-
-void Histogram::add(double x) noexcept {
-  if (counts_.empty()) return;
-  double t = (x - lo_) / (hi_ - lo_);
-  t = std::clamp(t, 0.0, 1.0);
-  auto b = static_cast<std::size_t>(t * static_cast<double>(counts_.size()));
-  if (b >= counts_.size()) b = counts_.size() - 1;
-  ++counts_[b];
-  ++total_;
-}
-
-double Histogram::uniformity_cv() const {
-  if (counts_.empty() || total_ == 0) return 0.0;
-  std::vector<double> xs(counts_.begin(), counts_.end());
-  const double m = mean(xs);
-  if (m == 0.0) return 0.0;
-  return stddev(xs) / m;
 }
 
 }  // namespace djvm

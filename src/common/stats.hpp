@@ -1,59 +1,11 @@
-// Small statistics helpers shared by the profilers and the bench harnesses.
+// Small statistics helpers shared by the bench harnesses.
 #pragma once
 
-#include <cstddef>
 #include <span>
-#include <string>
-#include <vector>
 
 namespace djvm {
 
-/// Arithmetic mean of a sample (0 for an empty span).
-[[nodiscard]] double mean(std::span<const double> xs) noexcept;
-
-/// Population standard deviation (0 for fewer than two samples).
-[[nodiscard]] double stddev(std::span<const double> xs) noexcept;
-
 /// Median (0 for an empty span); copies and sorts internally.
 [[nodiscard]] double median(std::span<const double> xs);
-
-/// Relative difference |a - b| / |b| (0 when both are 0; +inf when only b is).
-[[nodiscard]] double relative_diff(double a, double b) noexcept;
-
-/// Running accumulator for means/extrema without storing the samples.
-class RunningStats {
- public:
-  void add(double x) noexcept;
-  [[nodiscard]] std::size_t count() const noexcept { return n_; }
-  [[nodiscard]] double mean() const noexcept { return n_ ? sum_ / static_cast<double>(n_) : 0.0; }
-  [[nodiscard]] double sum() const noexcept { return sum_; }
-  [[nodiscard]] double min() const noexcept { return min_; }
-  [[nodiscard]] double max() const noexcept { return max_; }
-
- private:
-  std::size_t n_ = 0;
-  double sum_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-};
-
-/// Fixed-width bucket histogram over [lo, hi); values outside are clamped
-/// into the edge buckets.  Used by tests to check sampling uniformity.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t buckets);
-  void add(double x) noexcept;
-  [[nodiscard]] std::size_t bucket_count() const noexcept { return counts_.size(); }
-  [[nodiscard]] std::uint64_t count(std::size_t b) const { return counts_.at(b); }
-  [[nodiscard]] std::uint64_t total() const noexcept { return total_; }
-  /// Coefficient of variation of bucket counts (0 = perfectly uniform).
-  [[nodiscard]] double uniformity_cv() const;
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t total_ = 0;
-};
 
 }  // namespace djvm

@@ -96,7 +96,7 @@ Djvm::Djvm(Config cfg)
       net_(cfg.costs),
       plan_(heap_),
       gos_(std::make_unique<Gos>(heap_, net_, plan_, cfg_)),
-      stackman_(heap_, cfg.extraction, cfg.invariant_min_rounds),
+      stackman_(heap_, cfg.extraction, kInvariantMinRounds),
       fptracker_(heap_, plan_),
       daemon_(plan_, cfg.threads),
       migration_(*gos_) {
@@ -142,7 +142,7 @@ void Djvm::apply_profiling_config() {
     gos_->disable_stack_sampling();
   }
   if (cfg_.footprinting) {
-    gos_->enable_footprinting(cfg_.footprint_timer, cfg_.footprint_phase,
+    gos_->enable_footprinting(cfg_.footprint_timer, kFootprintPhase,
                               cfg_.footprint_rearm);
   } else {
     gos_->disable_footprinting();
@@ -151,9 +151,7 @@ void Djvm::apply_profiling_config() {
     GovernorConfig gcfg;
     gcfg.overhead_budget = cfg_.governor.budget;
     gcfg.distance_threshold = cfg_.adapt_threshold;
-    gcfg.per_node = cfg_.governor.per_node;
-    gcfg.node_budget = cfg_.governor.node_budget;
-    gcfg.scoring = cfg_.backoff_scoring;
+    gcfg.per_node = true;  // each node held to the budget (GovernorKnobs)
     daemon_.governor().arm(gcfg);
   }
   RetentionPolicy retention;
@@ -262,7 +260,6 @@ EpochResult Djvm::run_epoch(const EpochRequest& request) {
   // hot node cannot hide behind the cluster average.
   OverheadSample s;
   s.measured = true;
-  s.tenant = cfg_.tenant.id;
   s.build_seconds = plan_carry_seconds_ + request.coordinator_seconds;
   plan_carry_seconds_ = 0.0;
   price(s, grown.cluster);
@@ -288,6 +285,10 @@ EpochResult Djvm::run_epoch(const EpochRequest& request) {
   result.ring_published = grown.ingest.arenas_published;
   result.ring_entries = grown.ingest.entries_published;
   result.ring_backpressure = grown.ingest.backpressure_events;
+  // The pump drained a quiesced hub, so every entry the lanes ever published
+  // has been drained unless one was lost.
+  result.ring_dropped =
+      now.ingest.entries_published - now.ingest.entries_drained;
   if (fault_injector_) {
     // Name the nodes whose profiling contribution this epoch's map is
     // missing: dead nodes lost their un-shipped slices (see pump_daemon).
@@ -310,7 +311,7 @@ EpochResult Djvm::run_epoch(const EpochRequest& request) {
   // epoch snapshots for crash recovery, and a still-queued older snapshot is
   // simply replaced; timeline lines are batched under disk pressure, never
   // coalesced away.
-  if (request.export_outputs && snapshot_writer_) {
+  if (snapshot_writer_) {
     if (!cfg_.export_.snapshot_path.empty()) {
       snapshot_writer_->save_async(cfg_.export_.snapshot_path,
                                    daemon_.governor(), daemon_.latest());
@@ -318,8 +319,7 @@ EpochResult Djvm::run_epoch(const EpochRequest& request) {
     if (!cfg_.export_.timeline_path.empty()) {
       snapshot_writer_->append_async(
           cfg_.export_.timeline_path,
-          timeline_line(result, daemon_.governor(), registry_,
-                        cfg_.export_.timeline_top_k, cfg_.tenant.id));
+          timeline_line(result, daemon_.governor(), registry_, cfg_.tenant.id));
     }
   }
   return result;
@@ -504,9 +504,8 @@ double Djvm::execute_migrations(
     const ClassFootprint fp =
         c.thread < footprints.size() ? footprints[c.thread] : ClassFootprint{};
     const MigrationOutcome out = migration_.migrate_with_resolution(
-        c.thread, c.to, stk, last_invariants(c.thread), fp,
-        cfg_.landmark_tolerance,
-        knobs.follow_homes ? knobs.max_home_migrations : 0);
+        c.thread, c.to, stk, last_invariants(c.thread), fp, kLandmarkTolerance,
+        kMaxHomeMigrations);
     ++executed;
 
     ev.executed = true;

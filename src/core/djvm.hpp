@@ -51,17 +51,9 @@ struct EpochRequest {
   /// into the sample's coordinator bucket exactly like the plan-and-execute
   /// carry.
   double coordinator_seconds = 0.0;
-  /// When false, skip this epoch's snapshot/timeline export even when the
-  /// Config enables it (a cluster coordinator exporting its own merged
-  /// arbitration view per epoch turns the per-tenant lines off).
-  bool export_outputs = true;
 
   EpochRequest& bill_coordinator(double seconds) {
     coordinator_seconds += seconds;
-    return *this;
-  }
-  EpochRequest& without_exports() {
-    export_outputs = false;
     return *this;
   }
 };
@@ -146,13 +138,13 @@ class Djvm final : public Gos::Hooks {
   /// The per-epoch governor pump: drains the ingest lanes, reads every
   /// monotonic counter once (EpochCounters) and diffs it against the
   /// previous epoch's read, prices the growth into the epoch's overhead
-  /// sample — cluster aggregate plus one per-node slice per worker node,
-  /// stamped with this Config's tenant id — and runs one daemon epoch under
-  /// the governor.  The same growth fills the result's traffic, fault and
-  /// ring telemetry.  Call once per epoch (e.g. after each barrier round).
-  /// With Config::export_.snapshot_path set (and the request's exports on),
-  /// the epoch's governor state + TCM are handed to the async snapshot
-  /// writer afterwards.
+  /// sample — cluster aggregate plus one per-node slice per worker node —
+  /// and runs one daemon epoch under the governor.  The same growth fills
+  /// the result's traffic, fault and ring telemetry; ring_dropped is the
+  /// hub's published-but-never-drained entries after the pump (0 unless an
+  /// entry was lost).  Call once per epoch (e.g. after each barrier round).
+  /// With Config::export_.snapshot_path set, the epoch's governor state +
+  /// TCM are handed to the async snapshot writer afterwards.
   ///
   /// With Config::balance.max_migrations_per_epoch > 0 the pump closes the
   /// plan→execute→re-key→refeed loop: after the migration planner runs, the
@@ -293,10 +285,10 @@ class Djvm final : public Gos::Hooks {
 
 /// A tenant's session handle over one Djvm: the first-class surface a
 /// multi-tenant host programs against.  It names the tenant (identity comes
-/// from Config::tenant, stamped into every overhead sample and timeline
-/// line), runs governed epochs via EpochRequest, and carries the budget
-/// handshake with a cluster arbiter (adopt_lease / lease).  The handle is a
-/// non-owning view — copy it freely; the Djvm must outlive it.
+/// from Config::tenant, stamped into every timeline line), runs governed
+/// epochs via EpochRequest, and carries the budget handshake with a cluster
+/// arbiter (adopt_lease / lease).  The handle is a non-owning view — copy it
+/// freely; the Djvm must outlive it.
 class TenantContext {
  public:
   explicit TenantContext(Djvm& vm) noexcept : vm_(&vm) {}

@@ -304,7 +304,8 @@ void Gos::close_interval(ThreadId t, NodeId sync_dest) {
   ts.fp_objects.clear();
   if (tracking_ != OalTransfer::kDisabled && !ts.oal.empty()) {
     if (tracking_ == OalTransfer::kSend) {
-      const bool piggy = cfg_.piggyback_oals && sync_dest == coordinator_;
+      // The OAL rides the sync message when that goes to the coordinator.
+      const bool piggy = sync_dest == coordinator_;
       const std::uint64_t wire =
           kIntervalHeaderWireBytes + ts.oal.size() * kOalEntryWireBytes;
       const SimTime dt =
@@ -431,35 +432,12 @@ void Gos::prefetch(ThreadId t, std::span<const ObjectId> objs, MsgCategory categ
   ts.clock.advance(dt);
 }
 
-void Gos::migrate_home(ObjectId obj, NodeId to) {
-  ObjectMeta& m = heap_.meta(obj);
-  if (m.home == to) return;
-  const NodeId from = m.home;
-  net_.send({from, to, MsgCategory::kObjectData,
-             m.size_bytes + kRequestBytes, false});
-  NodeState& dst = nodes_[to];
-  NodeState& src = nodes_[from];
-  grow_node(dst);
-  grow_node(src);
-  const auto oi = static_cast<std::size_t>(obj);
-  dst.state[oi] = static_cast<std::uint8_t>(CopyState::kHome);
-  dst.fetch_epoch[oi] = global_epoch_;
-  src.state[oi] = static_cast<std::uint8_t>(CopyState::kValid);
-  src.fetch_epoch[oi] = global_epoch_;
-  heap_.set_home(obj, to);
-  // Bill the new home's re-key visit and re-register the old home's
-  // retained payload as an ordinary cached copy.
-  plan_.on_home_migrated(obj, from, to);
-  ++stats_.home_migrations;
-}
-
 std::size_t Gos::migrate_homes(std::span<const ObjectId> objs, NodeId to) {
   if (objs.empty()) return 0;
   NodeState& dst = nodes_[to];
   grow_node(dst);
   // Payload is accumulated per source node so each source ships one
-  // aggregated message (the batched analog of prefetch); the per-object
-  // state flips and sampling re-keys are identical to migrate_home.
+  // aggregated message (the batched analog of prefetch).
   std::vector<std::uint64_t> bytes_from(nodes_.size(), 0);
   std::size_t moved = 0;
   for (ObjectId obj : objs) {
@@ -475,6 +453,8 @@ std::size_t Gos::migrate_homes(std::span<const ObjectId> objs, NodeId to) {
     src.state[oi] = static_cast<std::uint8_t>(CopyState::kValid);
     src.fetch_epoch[oi] = global_epoch_;
     heap_.set_home(obj, to);
+    // Bill the new home's re-key visit and re-register the old home's
+    // retained payload as an ordinary cached copy.
     plan_.on_home_migrated(obj, from, to);
     ++stats_.home_migrations;
     ++moved;

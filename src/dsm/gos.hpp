@@ -117,13 +117,12 @@ class Gos : public CopySetView {
   /// Bulk-fetches `objs` into `t`'s node cache (one aggregated message).
   void prefetch(ThreadId t, std::span<const ObjectId> objs,
                 MsgCategory category = MsgCategory::kObjectData);
-  /// Moves an object's home to `to`, transferring its payload.
-  void migrate_home(ObjectId obj, NodeId to);
-  /// Batched home migration: moves every object in `objs` not already homed
-  /// at `to`, shipping one aggregated payload per source node instead of a
+  /// Home migration: moves every object in `objs` not already homed at
+  /// `to`, shipping one aggregated payload per source node instead of a
   /// message per object (the follow-the-thread path of the execution stage).
-  /// Each object's re-key visit is billed exactly as migrate_home does.
-  /// Returns the number of homes actually moved.
+  /// The new home holds the object, the old home keeps a valid cached copy,
+  /// and each object's sampling re-key visit is billed through
+  /// SamplingPlan::on_home_migrated.  Returns the number of homes moved.
   std::size_t migrate_homes(std::span<const ObjectId> objs, NodeId to);
 
   // --- profiling configuration ------------------------------------------------

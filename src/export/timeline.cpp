@@ -49,8 +49,7 @@ void lease_into(std::string& out, const Governor::TenantLease& l) {
 }  // namespace
 
 std::string timeline_line(const EpochResult& epoch, const Governor& governor,
-                          const KlassRegistry& registry, std::size_t top_k,
-                          TenantId tenant) {
+                          const KlassRegistry& registry, TenantId tenant) {
   std::string out = "{";
   out += "\"epoch\":" + std::to_string(epoch.epoch);
   out += ",\"tenant\":" + std::to_string(tenant);
@@ -165,7 +164,7 @@ std::string timeline_line(const EpochResult& epoch, const Governor& governor,
   std::sort(shares.begin(), shares.end(), [](const auto& a, const auto& b) {
     return a.first > b.first || (a.first == b.first && a.second < b.second);
   });
-  if (shares.size() > top_k) shares.resize(top_k);
+  if (shares.size() > kTimelineTopK) shares.resize(kTimelineTopK);
   out += ",\"influence_top\":[";
   for (std::size_t i = 0; i < shares.size(); ++i) {
     if (i != 0) out += ',';

@@ -39,19 +39,21 @@
 
 namespace djvm {
 
-/// Renders one epoch as a single JSON line (trailing '\n' included).
-/// `top_k` bounds the influence_top array; the registry supplies class
-/// names for it.  `tenant` stamps the line (0 for standalone runs — the
+/// Influence entries per timeline line (largest shares first).
+inline constexpr std::size_t kTimelineTopK = 4;
+
+/// Renders one epoch as a single JSON line (trailing '\n' included).  The
+/// influence_top array holds at most kTimelineTopK classes, named from the
+/// registry.  `tenant` stamps the line (0 for standalone runs — the
 /// pre-tenant schema plus one key; consumers ignore unknown keys).
 [[nodiscard]] std::string timeline_line(const EpochResult& epoch,
                                         const Governor& governor,
                                         const KlassRegistry& registry,
-                                        std::size_t top_k,
                                         TenantId tenant = 0);
 
 /// Renders one arbitration round as a single JSON line (trailing '\n'
-/// included); `cluster_overhead` is the shared meter's aggregate rolling
-/// fraction after the round.
+/// included); `cluster_overhead` is the tenants' meters pooled after the
+/// round (ClusterCoordinator::ClusterEpoch::cluster_overhead).
 [[nodiscard]] std::string arbitration_line(const ArbitrationOutcome& round,
                                            double cluster_overhead);
 

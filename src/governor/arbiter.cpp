@@ -32,19 +32,13 @@ const Governor::TenantLease& BudgetArbiter::register_tenant(
   const double fair =
       wsum > 0.0 ? knobs_.global_budget * tenant.weight / wsum : 0.0;
   s.lease.fair_share = fair;
-  s.lease.floor = knobs_.floor_share * fair;
+  s.lease.floor = kFloorShare * fair;
   s.lease.granted_budget = fair;
   return s.lease;
 }
 
 void BudgetArbiter::report(const TenantReport& r) {
   if (Slot* s = slot(r.tenant)) s->last = r;
-}
-
-std::size_t BudgetArbiter::tenant_count() const noexcept {
-  std::size_t n = 0;
-  for (const Slot& s : slots_) n += s.registered ? 1 : 0;
-  return n;
 }
 
 const Governor::TenantLease* BudgetArbiter::lease(TenantId tenant) const {
@@ -72,7 +66,7 @@ ArbitrationOutcome BudgetArbiter::arbitrate() {
     for (Slot& s : slots_) {
       if (!s.registered) continue;
       const double fair = knobs_.global_budget * s.knobs.weight / wsum;
-      const double floor = knobs_.floor_share * fair;
+      const double floor = kFloorShare * fair;
       s.lease.tier = s.knobs.tier;
       s.lease.weight = s.knobs.weight;
       s.lease.fair_share = fair;
@@ -84,10 +78,10 @@ ArbitrationOutcome BudgetArbiter::arbitrate() {
       // borrowed.
       const bool lender =
           s.last.degraded ||
-          s.last.rolling_fraction < knobs_.lend_threshold * fair;
+          s.last.rolling_fraction < kLendThreshold * fair;
       if (lender) {
         const double grant =
-            std::max(floor, fair - knobs_.lend_ratio * (fair - demand));
+            std::max(floor, fair - kLendRatio * (fair - demand));
         pool += fair - grant;
         s.lease.granted_budget = grant;
       } else {
@@ -95,14 +89,14 @@ ArbitrationOutcome BudgetArbiter::arbitrate() {
         // Only healthy tenants whose demand presses against their fair share
         // draw from the pool.
         if (!s.last.degraded &&
-            s.last.rolling_fraction >= knobs_.lend_threshold * fair) {
+            s.last.rolling_fraction >= kLendThreshold * fair) {
           hot.push_back(s.lease.tenant);
         }
       }
     }
 
     // Pass 2: borrowers draw the pool in priority order — tier ascending,
-    // weight descending, id ascending — each capped at max_boost * fair.
+    // weight descending, id ascending — each capped at kMaxBoost * fair.
     // Greedy by design: a tier-0 borrower drains the pool before tier-1 sees
     // it, which is exactly the priority semantics the floors bound.
     std::sort(hot.begin(), hot.end(), [&](TenantId a, TenantId b) {
@@ -116,7 +110,7 @@ ArbitrationOutcome BudgetArbiter::arbitrate() {
     for (const TenantId id : hot) {
       if (pool <= 0.0) break;
       Slot& s = slots_[id];
-      const double cap = knobs_.max_boost * s.lease.fair_share;
+      const double cap = kMaxBoost * s.lease.fair_share;
       const double take =
           std::min(pool, std::max(0.0, cap - s.lease.granted_budget));
       if (take <= 0.0) continue;

@@ -14,9 +14,9 @@
 //
 //   - sum(grants) <= global_budget every epoch (the pool only redistributes
 //     headroom that was actually lent);
-//   - every tenant keeps at least floor_share of its fair share (the
+//   - every tenant keeps at least kFloorShare of its fair share (the
 //     starvation floor), whatever the tiers above it demand;
-//   - a borrower never holds more than max_boost times its fair share;
+//   - a borrower never holds more than kMaxBoost times its fair share;
 //   - a degraded tenant (lost nodes — see the reliability substrate) cannot
 //     borrow, and lends its headroom like an idle tenant: a tenant limping
 //     on partial data must not starve healthy peers' budgets.
@@ -30,6 +30,20 @@
 #include "governor/governor.hpp"
 
 namespace djvm {
+
+/// The lending policy, as fractions and multiples of a tenant's fair share.
+/// Guaranteed floor: even a maximal borrower cannot push a tenant below
+/// kFloorShare * fair (prevents priority-tier starvation).
+inline constexpr double kFloorShare = 0.25;
+/// Cap on any tenant's grant (bounds how much one hot tenant can absorb
+/// from the lending pool).
+inline constexpr double kMaxBoost = 4.0;
+/// A tenant lends when its rolling overhead uses less than kLendThreshold of
+/// its fair share; at or above the same line it is hot and may borrow.
+inline constexpr double kLendThreshold = 0.60;
+/// Share of a lender's idle headroom offered to the pool per epoch (the rest
+/// is slack, so a waking tenant reclaims smoothly).
+inline constexpr double kLendRatio = 0.75;
 
 /// One tenant's per-epoch report to the arbiter: its measured rolling
 /// overhead fraction (from its own governor's meter) and its health.
@@ -57,8 +71,9 @@ struct ArbitrationOutcome {
 };
 
 /// The per-epoch budget arbiter.  Single-threaded, deterministic: grants
-/// depend only on the knobs, the registered tenants, and the last reports —
-/// decision_seconds is measured wall time but never feeds back into grants.
+/// depend only on the global budget, the registered tenants, and the last
+/// reports — decision_seconds is measured wall time but never feeds back
+/// into grants.
 class BudgetArbiter {
  public:
   explicit BudgetArbiter(ArbiterKnobs knobs = {});
@@ -76,7 +91,6 @@ class BudgetArbiter {
   ArbitrationOutcome arbitrate();
 
   [[nodiscard]] const Governor::TenantLease* lease(TenantId tenant) const;
-  [[nodiscard]] std::size_t tenant_count() const noexcept;
   [[nodiscard]] const ArbiterKnobs& knobs() const noexcept { return knobs_; }
   /// Cumulative real seconds spent in arbitrate().
   [[nodiscard]] double billed_seconds() const noexcept { return billed_seconds_; }

@@ -15,11 +15,16 @@
 // execution, arbitration) runs on a dedicated machine in the paper's setup
 // and is host-timed, so the sample carries it but the meter never budgets
 // it (the paper's "does not add to execution time" assumption).
+//
+// Each governor owns one meter, so a tenant's window holds that tenant's
+// epochs alone; a cluster of tenants reads its aggregate by pooling the
+// tenants' meters (pooled_rolling_fraction), not by keeping a copy.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "common/types.hpp"
@@ -53,11 +58,6 @@ struct OverheadSample {
   /// epoch passes an unmeasured, empty sample: with no measured app time the
   /// governor suspends budget enforcement on it.
   bool measured = false;
-  /// Tenant the epoch belongs to.  Meters namespace their window state per
-  /// (tenant, node): a shared cluster meter fed by several tenants must not
-  /// let one tenant's idle epoch overwrite the signal another tenant just
-  /// recorded for the same node.  Standalone runs leave this 0.
-  TenantId tenant = 0;
   /// Application progress this epoch: summed per-thread simulated seconds,
   /// with the profiling costs charged to thread clocks subtracted back out
   /// (so the fraction is profiling per *application* second, not
@@ -116,6 +116,13 @@ class OverheadMeter {
   /// with no signal at all reads 0.
   [[nodiscard]] double rolling_fraction() const;
 
+  /// rolling_fraction() pooled over several meters' windows: one running
+  /// sum of profiling and app seconds over every signal slot, meter by
+  /// meter in the order given.  A cluster of tenants, each metered by its
+  /// own governor, reads its aggregate overhead this way.
+  [[nodiscard]] static double pooled_rolling_fraction(
+      std::span<const OverheadMeter* const> meters);
+
   /// The rate-dependent share of rolling_fraction(): what gap coarsening
   /// can actually reduce (access-check CPU + resampling);
   /// excludes OverheadSample::fixed_seconds.
@@ -124,40 +131,24 @@ class OverheadMeter {
   // --- per-node views --------------------------------------------------------
   /// Number of nodes that have appeared in recorded samples (node ids are
   /// dense; a node that never appeared reads as zero overhead).
-  [[nodiscard]] std::size_t node_count() const noexcept;
+  [[nodiscard]] std::size_t node_count() const noexcept { return node_rings_.size(); }
   /// Rolling overhead fraction of one node: its profiling seconds over its
   /// own app seconds (same no-signal skipping as rolling_fraction, so an
   /// idle node never reads as the worst offender).
   [[nodiscard]] double node_rolling_fraction(NodeId node) const;
   /// The rate-dependent share of node_rolling_fraction.
   [[nodiscard]] double node_rolling_reducible_fraction(NodeId node) const;
-  /// One node's most recent epoch alone (the most recently recorded
-  /// tenant's slot — exactly the pre-tenant behavior for a meter fed by a
-  /// single tenant; multi-tenant callers use the tenant-qualified overload).
+  /// One node's most recent epoch alone.
   [[nodiscard]] double node_epoch_fraction(NodeId node) const;
   /// Node with the highest rolling fraction (ties break toward the lowest
   /// id); nullopt when no per-node samples were ever recorded.
   [[nodiscard]] std::optional<NodeId> worst_node() const;
 
-  // --- per-tenant views ------------------------------------------------------
-  // Window state is namespaced per (tenant, node): each tenant's samples
-  // advance only that tenant's rings, so an idle tenant's zero-app epochs
-  // can never mark a shared node as no-signal for a busy one.  The
-  // unqualified queries above aggregate across tenants (identical to the
-  // old behavior when all samples carry one tenant id).
-  /// Number of tenants that have appeared in recorded samples.
-  [[nodiscard]] std::size_t tenant_count() const noexcept { return tenants_.size(); }
-  /// One tenant's rolling overhead fraction over its own window.
-  [[nodiscard]] double rolling_fraction(TenantId tenant) const;
-  /// One tenant's most recent epoch alone.
-  [[nodiscard]] double epoch_fraction(TenantId tenant) const;
-  /// One (tenant, node) most recent epoch alone.
-  [[nodiscard]] double node_epoch_fraction(TenantId tenant, NodeId node) const;
-
   [[nodiscard]] std::size_t epochs() const noexcept { return epochs_; }
   [[nodiscard]] const OverheadCosts& costs() const noexcept { return costs_; }
 
-  /// One window slot (public so the window-summing helper can see it).
+ private:
+  /// One window slot.
   struct Entry {
     double app_seconds = 0.0;
     double reducible_seconds = 0.0;  ///< shrinks when gaps coarsen
@@ -167,27 +158,27 @@ class OverheadMeter {
     bool signal = false;
   };
 
- private:
-  /// One tenant's rolling window: a cluster ring plus per-node rings that
-  /// share this tenant's next/filled so its windows stay epoch-aligned.
-  /// Another tenant recording an epoch never touches these.
-  struct TenantWindow {
-    std::vector<Entry> ring;
-    std::vector<std::vector<Entry>> node_rings;
-    std::size_t next = 0;
-    std::size_t filled = 0;
-  };
-
-  [[nodiscard]] const TenantWindow* window_for(TenantId tenant) const;
+  /// Adds the signal slots of `ring` (the first filled_ of them) into the
+  /// running sums; `pick` selects which seconds of a slot count as
+  /// profiling.
+  template <typename Pick>
+  void add_window(const std::vector<Entry>& ring, Pick pick, double& prof,
+                  double& app, bool& any) const;
+  /// Σprof/Σapp over one ring's signal slots (0 without signal).
+  template <typename Pick>
+  [[nodiscard]] double window_fraction(const std::vector<Entry>& ring,
+                                       Pick pick) const;
+  /// The most recent slot of `ring`, or nullptr when it carried no signal.
+  [[nodiscard]] const Entry* latest(const std::vector<Entry>& ring) const;
 
   OverheadCosts costs_;
   std::size_t window_;
-  /// Dense per-tenant windows (tenant ids are small and dense; standalone
-  /// meters hold exactly one entry for tenant 0).
-  std::vector<TenantWindow> tenants_;
-  /// Tenant of the most recent record(): epoch_fraction() and
-  /// node_epoch_fraction(node) keep their "latest recorded epoch" meaning.
-  TenantId last_tenant_ = 0;
+  /// The cluster ring, plus one ring per node that shares its next_/filled_
+  /// so the node windows stay epoch-aligned with it.
+  std::vector<Entry> ring_;
+  std::vector<std::vector<Entry>> node_rings_;
+  std::size_t next_ = 0;
+  std::size_t filled_ = 0;
   std::size_t epochs_ = 0;
 };
 

@@ -33,6 +33,12 @@ struct MigrationOutcome {
   SimTime sim_cost = 0;  ///< simulated time spent migrating (at the thread)
 };
 
+/// Cap on follow-the-thread home migrations per executed migration: after a
+/// thread migrates, up to this many of its resolved sticky-set objects still
+/// homed at the source node have their homes migrated too, batched into one
+/// transfer (their affinity mass follows the migrant).
+inline constexpr std::uint32_t kMaxHomeMigrations = 64;
+
 /// Executes migrations against the GOS.
 class MigrationEngine {
  public:

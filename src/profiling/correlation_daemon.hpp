@@ -85,9 +85,10 @@ struct EpochResult {
   /// by the pump): arenas published and entries carried by the lanes, and
   /// publishes that found their outbound ring full (the arena is then
   /// parked producer-side and re-offered — a counted stall).
-  /// ring_dropped exists to prove the invariant the bench gate checks: the
-  /// ingest path has no drop branch, so it is structurally zero, and a
-  /// nonzero value in a timeline is a bug, not a tuning problem.
+  /// ring_dropped is the hub's entries_published - entries_drained right
+  /// after the pump's quiesced drain: the ingest path has no drop branch,
+  /// so it is structurally zero, and a nonzero value in a timeline is a
+  /// bug, not a tuning problem.
   std::uint64_t ring_published = 0;
   std::uint64_t ring_entries = 0;
   std::uint64_t ring_backpressure = 0;
@@ -120,9 +121,7 @@ struct EpochResult {
   std::uint64_t backoff_ns = 0;
   /// The fully assembled overhead sample this epoch's decision ran on (the
   /// caller's measured costs plus the daemon's additions: build time and
-  /// resampling carry).  A cluster coordinator re-records it into a shared
-  /// multi-tenant meter — the sample carries its tenant id, so the shared
-  /// meter's per-(tenant, node) windows stay namespaced.
+  /// resampling carry); the governor's meter has recorded it.
   OverheadSample sample;
   /// Degraded-mode marker: true when at least one node's profiling
   /// contribution was lost this epoch (the node is dead, so its un-shipped

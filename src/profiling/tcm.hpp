@@ -122,19 +122,6 @@ struct TcmClassAttribution {
     // (no co-access pairs at all) still carries influence evidence.
     return cut_bytes.empty() && local_bytes.empty() && home_mass.empty();
   }
-  /// Total pair mass seen (cut + local over every class).
-  [[nodiscard]] double total_pair_bytes() const noexcept {
-    double t = 0.0;
-    for (double v : cut_bytes) t += v;
-    for (double v : local_bytes) t += v;
-    return t;
-  }
-  /// Pair mass of one class (0 for classes past the vectors).
-  [[nodiscard]] double class_pair_bytes(ClassId id) const noexcept {
-    const auto i = static_cast<std::size_t>(id);
-    return (i < cut_bytes.size() ? cut_bytes[i] : 0.0) +
-           (i < local_bytes.size() ? local_bytes[i] : 0.0);
-  }
 };
 
 /// Builds TCMs out of OAL log arenas.

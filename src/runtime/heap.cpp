@@ -50,12 +50,4 @@ void Heap::set_ref(ObjectId src, std::size_t slot, ObjectId dst) {
 
 void Heap::add_ref(ObjectId src, ObjectId dst) { meta(src).refs.push_back(dst); }
 
-std::uint64_t Heap::bytes_at(NodeId node) const {
-  std::uint64_t total = 0;
-  for (const ObjectMeta& m : objects_) {
-    if (m.home == node) total += m.size_bytes;
-  }
-  return total;
-}
-
 }  // namespace djvm

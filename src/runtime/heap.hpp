@@ -58,9 +58,6 @@ class Heap {
   [[nodiscard]] const KlassRegistry& registry() const noexcept { return registry_; }
   [[nodiscard]] KlassRegistry& registry() noexcept { return registry_; }
 
-  /// Total payload bytes homed at `node`.
-  [[nodiscard]] std::uint64_t bytes_at(NodeId node) const;
-
  private:
   ObjectId push_object(ObjectMeta meta, NodeId node);
 

@@ -50,11 +50,15 @@ struct StackSamplerStats {
   std::uint64_t slots_removed = 0;
 };
 
+/// Consecutive surviving comparisons before a slot counts as a
+/// stack-invariant reference, for the samplers a Djvm runs.
+inline constexpr std::uint32_t kInvariantMinRounds = 2;
+
 /// Stack sampler for a single thread.
 class StackSampler {
  public:
-  StackSampler(const Heap& heap, ExtractionMode mode, std::uint32_t invariant_min_rounds)
-      : heap_(heap), mode_(mode), min_rounds_(invariant_min_rounds) {}
+  StackSampler(const Heap& heap, ExtractionMode mode, std::uint32_t min_rounds)
+      : heap_(heap), mode_(mode), min_rounds_(min_rounds) {}
 
   /// Takes one sample of `stack` (the SAMPLE-STACK algorithm of Fig. 8).
   StackSampleWork sample(JavaStack& stack);
@@ -62,7 +66,7 @@ class StackSampler {
   /// Object references currently considered stack-invariant, ordered
   /// topmost-frame-first (the resolution heuristic starts from the most
   /// recent invariants).  Only slots that survived at least
-  /// `invariant_min_rounds` comparisons qualify.
+  /// `min_rounds` comparisons qualify.
   [[nodiscard]] std::vector<ObjectId> invariant_refs(const JavaStack& stack) const;
 
   [[nodiscard]] const StackSamplerStats& stats() const noexcept { return stats_; }
@@ -101,8 +105,8 @@ class StackSampler {
 class StackSamplerManager {
  public:
   StackSamplerManager(const Heap& heap, ExtractionMode mode,
-                      std::uint32_t invariant_min_rounds)
-      : heap_(heap), mode_(mode), min_rounds_(invariant_min_rounds) {}
+                      std::uint32_t min_rounds)
+      : heap_(heap), mode_(mode), min_rounds_(min_rounds) {}
 
   /// Grows to cover `count` threads.
   void ensure_threads(std::size_t count);

@@ -1,7 +1,5 @@
 #include "sticky/footprint.hpp"
 
-#include <algorithm>
-
 namespace djvm {
 
 void FootprintTracker::ensure(ThreadId t) const {
@@ -14,21 +12,18 @@ void FootprintTracker::on_interval_close(ThreadId t,
   PerThread& pt = threads_[t];
   if (touches.empty()) return;
 
-  std::vector<ObjectId> sticky;
   std::unordered_map<ClassId, double> interval_bytes;
   for (const FootprintTouch& touch : touches) {
     // Touched at fewer than 2 distinct re-arm ticks: accessed once, will not
     // re-fault after migration (Fig. 4's criterion).
     if (touch.ticks < 2) continue;
-    sticky.push_back(touch.obj);
     const ObjectMeta& m = heap_.meta(touch.obj);
     interval_bytes[m.klass] +=
         static_cast<double>(plan_.estimated_full_bytes(touch.obj));
   }
-  if (sticky.empty()) return;
+  // No sticky candidate: the interval does not dilute the average.
+  if (interval_bytes.empty()) return;
 
-  std::sort(sticky.begin(), sticky.end());
-  pt.last_sticky = std::move(sticky);
   for (const auto& [c, b] : interval_bytes) pt.sum_bytes[c] += b;
   ++pt.intervals;
 }
@@ -43,17 +38,5 @@ ClassFootprint FootprintTracker::footprint(ThreadId t) const {
   }
   return fp;
 }
-
-const std::vector<ObjectId>& FootprintTracker::last_sticky(ThreadId t) const {
-  ensure(t);
-  return threads_[t].last_sticky;
-}
-
-std::size_t FootprintTracker::intervals(ThreadId t) const {
-  ensure(t);
-  return threads_[t].intervals;
-}
-
-void FootprintTracker::reset() { threads_.clear(); }
 
 }  // namespace djvm

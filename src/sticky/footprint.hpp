@@ -52,19 +52,10 @@ class FootprintTracker {
   /// produced sticky candidates.
   [[nodiscard]] ClassFootprint footprint(ThreadId t) const;
 
-  /// Sticky candidates seen in the most recent closed interval of `t`.
-  [[nodiscard]] const std::vector<ObjectId>& last_sticky(ThreadId t) const;
-
-  /// Intervals aggregated for `t`.
-  [[nodiscard]] std::size_t intervals(ThreadId t) const;
-
-  void reset();
-
  private:
   struct PerThread {
     std::unordered_map<ClassId, double> sum_bytes;
     std::size_t intervals = 0;
-    std::vector<ObjectId> last_sticky;
   };
 
   const Heap& heap_;

@@ -35,6 +35,10 @@ struct ResolutionResult {
   ResolutionStats stats;
 };
 
+/// The landmark tolerance `t` every resolution in the system runs with
+/// (paper: t > 1).
+inline constexpr double kLandmarkTolerance = 2.0;
+
 /// Resolves the sticky set to prefetch for a migrating thread.
 ///
 /// `roots`   — stack-invariant references, topmost first;

@@ -32,8 +32,9 @@ TEST(BudgetArbiter, RegistrationSeedsFairSplitOverRegistrantsSoFar) {
   EXPECT_DOUBLE_EQ(second.granted_budget, 0.01);  // fair split over two
   // Registration never re-leases existing tenants (arbitrate() does).
   EXPECT_DOUBLE_EQ(arb.lease(0)->granted_budget, 0.02);
-  EXPECT_EQ(arb.tenant_count(), 2u);
   EXPECT_EQ(arb.lease(9), nullptr);
+  // Two registrants, two leases.
+  EXPECT_EQ(arb.arbitrate().leases.size(), 2u);
 }
 
 TEST(BudgetArbiter, IdleTenantLendsAndHotTenantBorrows) {
@@ -112,7 +113,7 @@ TEST(BudgetArbiter, TierPriorityDrainsThePoolAboveTheFloor) {
   arb.arbitrate();
 
   // Tier 2 goes idle: its grant drops to exactly the starvation floor
-  // (floor_share 0.25 and lend_ratio 0.75 meet there at zero demand), and
+  // (kFloorShare and kLendRatio meet there at zero demand), and
   // the tier-0 borrower drains the whole pool before tier 1 sees any of it.
   arb.report(TenantReport{2, 0.0, false});
   const ArbitrationOutcome out = arb.arbitrate();
@@ -120,7 +121,7 @@ TEST(BudgetArbiter, TierPriorityDrainsThePoolAboveTheFloor) {
   const auto& t1 = out.leases[1];
   const auto& t2 = out.leases[2];
   EXPECT_DOUBLE_EQ(t2.granted_budget, t2.floor);
-  EXPECT_DOUBLE_EQ(t2.floor, 0.25 * 0.01);
+  EXPECT_DOUBLE_EQ(t2.floor, kFloorShare * 0.01);
   EXPECT_NEAR(t0.granted_budget, 0.01 + (0.01 - t2.floor), 1e-12);
   EXPECT_DOUBLE_EQ(t1.granted_budget, t1.fair_share);  // outranked: nothing
   EXPECT_EQ(out.lenders, 1u);
@@ -129,25 +130,36 @@ TEST(BudgetArbiter, TierPriorityDrainsThePoolAboveTheFloor) {
 }
 
 TEST(BudgetArbiter, MaxBoostCapSpillsThePoolToTheNextTier) {
+  // Two borrowers (tiers 0 and 1) and five idle tier-2 lenders: each lender
+  // offers fair - floor, and five of them pool more than the tier-0
+  // borrower may take under its kMaxBoost cap.
+  constexpr TenantId kTenants = 7;
+  constexpr std::size_t kLenders = 5;
   ArbiterKnobs knobs;
-  knobs.global_budget = 0.03;
-  knobs.max_boost = 1.5;  // a borrower holds at most 1.5x fair
+  knobs.global_budget = 0.07;  // fair = 0.01 each
   BudgetArbiter arb(knobs);
   arb.register_tenant(tenant(0, 0));
   arb.register_tenant(tenant(1, 1));
-  arb.register_tenant(tenant(2, 2));
-  for (TenantId id = 0; id < 3; ++id) {
+  for (TenantId id = 2; id < kTenants; ++id) arb.register_tenant(tenant(id, 2));
+  for (TenantId id = 0; id < kTenants; ++id) {
     arb.report(TenantReport{id, 0.01, false});
   }
   arb.arbitrate();
 
-  arb.report(TenantReport{2, 0.0, false});
+  for (TenantId id = 2; id < kTenants; ++id) {
+    arb.report(TenantReport{id, 0.0, false});
+  }
   const ArbitrationOutcome out = arb.arbitrate();
-  // Pool = fair - floor = 0.0075.  Tier 0 is capped at 1.5 * 0.01, taking
-  // 0.005; the remaining 0.0025 spills to tier 1 instead of vanishing.
-  EXPECT_NEAR(out.leases[0].granted_budget, 0.015, 1e-12);
-  EXPECT_NEAR(out.leases[1].granted_budget, 0.0125, 1e-12);
+  const double fair = out.leases[0].fair_share;
+  const double pool = kLenders * (fair - kFloorShare * fair);
+  ASSERT_GT(pool, (kMaxBoost - 1.0) * fair);  // the cap binds
+  // Tier 0 is capped at kMaxBoost x fair; the rest of the pool spills to
+  // tier 1 instead of vanishing.
+  EXPECT_NEAR(out.leases[0].granted_budget, kMaxBoost * fair, 1e-12);
+  EXPECT_NEAR(out.leases[1].granted_budget,
+              fair + pool - (kMaxBoost - 1.0) * fair, 1e-12);
   EXPECT_EQ(out.borrowers, 2u);
+  EXPECT_EQ(out.lenders, kLenders);
   EXPECT_NEAR(out.granted_total, knobs.global_budget, 1e-12);
 }
 
@@ -198,7 +210,7 @@ TEST(BudgetArbiter, CeilingAndFloorInvariantsHoldEveryRound) {
     for (const auto& l : out.leases) {
       EXPECT_GE(l.granted_budget, l.floor - 1e-12)
           << "round " << round << " tenant " << l.tenant;
-      EXPECT_LE(l.granted_budget, knobs.max_boost * l.fair_share + 1e-12)
+      EXPECT_LE(l.granted_budget, kMaxBoost * l.fair_share + 1e-12)
           << "round " << round << " tenant " << l.tenant;
     }
     EXPECT_GE(out.decision_seconds, 0.0);

@@ -71,14 +71,16 @@ TEST_F(PageBaselineTest, SharedPageAccumulatesBothThreads) {
   EXPECT_DOUBLE_EQ(tracker.build_tcm().at(0, 1), 4096.0);
 }
 
-TEST_F(PageBaselineTest, ResetClears) {
+TEST_F(PageBaselineTest, FreshTrackerStartsEmpty) {
   const ObjectId a = heap.alloc(small, 0);
-  PageCorrelationTracker tracker(heap, 2);
-  tracker.on_access(0, a);
-  tracker.on_interval_close(0);
-  tracker.reset();
-  EXPECT_EQ(tracker.pages_tracked(), 0u);
-  EXPECT_DOUBLE_EQ(tracker.build_tcm().total(), 0.0);
+  PageCorrelationTracker used(heap, 2);
+  used.on_access(0, a);
+  used.on_interval_close(0);
+  ASSERT_EQ(used.pages_tracked(), 1u);
+  // Starting over is a fresh tracker over the same heap.
+  PageCorrelationTracker fresh(heap, 2);
+  EXPECT_EQ(fresh.pages_tracked(), 0u);
+  EXPECT_DOUBLE_EQ(fresh.build_tcm().total(), 0.0);
 }
 
 TEST_F(PageBaselineTest, NodesHaveDisjointPages) {

@@ -188,7 +188,7 @@ TEST(CachedCopySampling, MigrateHomeRekeysLegacyBitImmediately) {
   ASSERT_FALSE(plan.is_sampled(victim));
   ASSERT_EQ(plan.gap_of(victim), coarse_gap);
 
-  w.djvm->gos().migrate_home(victim, 1);
+  w.djvm->gos().migrate_homes({&victim, 1}, 1);
   EXPECT_TRUE(plan.is_sampled(victim));
   EXPECT_EQ(plan.gap_of(victim), base_gap);
 }
@@ -197,7 +197,7 @@ TEST(CachedCopySampling, MigrateHomeReregistersOldHomesCopy) {
   World w(8);
   SamplingPlan& plan = w.djvm->plan();
   const std::uint64_t regs_before = plan.copy_registrations(0);
-  w.djvm->gos().migrate_home(w.pool[0], 1);
+  w.djvm->gos().migrate_homes({&w.pool[0], 1}, 1);
   // The old home keeps the payload as an ordinary cached copy and its
   // registration is counted (snapshot v3 summary input).
   EXPECT_EQ(plan.copy_registrations(0), regs_before + 1);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <sstream>
 
@@ -48,10 +49,18 @@ TEST(Rng, UniformRespectsBounds) {
 }
 
 TEST(Rng, RoughlyUniformBuckets) {
+  // Ten equal buckets over [0, 1): the coefficient of variation of their
+  // counts stays small.
+  constexpr int kDraws = 100000;
   SplitMix64 r(11);
-  Histogram h(0.0, 1.0, 10);
-  for (int i = 0; i < 100000; ++i) h.add(r.next_double());
-  EXPECT_LT(h.uniformity_cv(), 0.05);
+  std::array<double, 10> counts{};
+  for (int i = 0; i < kDraws; ++i) {
+    counts[static_cast<std::size_t>(r.next_double() * counts.size())] += 1.0;
+  }
+  const double m = static_cast<double>(kDraws) / counts.size();
+  double var = 0.0;
+  for (double c : counts) var += (c - m) * (c - m);
+  EXPECT_LT(std::sqrt(var / counts.size()) / m, 0.05);
 }
 
 TEST(Matrix, SymmetricAdd) {
@@ -85,44 +94,12 @@ TEST(Matrix, EqualityAndFill) {
   EXPECT_NE(a, b);
 }
 
-TEST(Stats, MeanStddevMedian) {
-  const double xs[] = {1.0, 2.0, 3.0, 4.0};
-  EXPECT_DOUBLE_EQ(mean(xs), 2.5);
-  EXPECT_NEAR(stddev(xs), 1.1180, 1e-3);
-  EXPECT_DOUBLE_EQ(median(xs), 2.5);
-}
-
-TEST(Stats, EmptyInputs) {
-  EXPECT_DOUBLE_EQ(mean({}), 0.0);
-  EXPECT_DOUBLE_EQ(stddev({}), 0.0);
+TEST(Stats, Median) {
+  const double even[] = {4.0, 1.0, 3.0, 2.0};
+  EXPECT_DOUBLE_EQ(median(even), 2.5);
+  const double odd[] = {5.0, 1.0, 3.0};
+  EXPECT_DOUBLE_EQ(median(odd), 3.0);
   EXPECT_DOUBLE_EQ(median({}), 0.0);
-}
-
-TEST(Stats, RelativeDiff) {
-  EXPECT_DOUBLE_EQ(relative_diff(1.0, 1.0), 0.0);
-  EXPECT_NEAR(relative_diff(1.1, 1.0), 0.1, 1e-12);
-  EXPECT_DOUBLE_EQ(relative_diff(0.0, 0.0), 0.0);
-  EXPECT_TRUE(std::isinf(relative_diff(1.0, 0.0)));
-}
-
-TEST(Stats, RunningStats) {
-  RunningStats s;
-  s.add(2.0);
-  s.add(8.0);
-  s.add(5.0);
-  EXPECT_EQ(s.count(), 3u);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_DOUBLE_EQ(s.min(), 2.0);
-  EXPECT_DOUBLE_EQ(s.max(), 8.0);
-}
-
-TEST(Stats, HistogramClampsOutliers) {
-  Histogram h(0.0, 1.0, 4);
-  h.add(-5.0);
-  h.add(5.0);
-  EXPECT_EQ(h.count(0), 1u);
-  EXPECT_EQ(h.count(3), 1u);
-  EXPECT_EQ(h.total(), 2u);
 }
 
 TEST(SimClock, AdvanceAndAlign) {

@@ -331,10 +331,9 @@ TEST_F(DegradedModeTest, FailNodeQuarantinesRehomesAndFailsOverThreads) {
   for (ThreadId t = 0; t < djvm.thread_count(); ++t) {
     EXPECT_NE(djvm.gos().thread_node(t), 1);
   }
-  for (ObjectId o : objs) {
-    EXPECT_NE(djvm.heap().meta(o).home, 1);
+  for (std::size_t o = 0; o < djvm.heap().object_count(); ++o) {
+    EXPECT_NE(djvm.heap().meta(static_cast<ObjectId>(o)).home, 1);
   }
-  EXPECT_EQ(djvm.heap().bytes_at(1), 0u);
 
   // The next epoch reports itself degraded and names the lost node.
   drive_epoch(djvm, objs);
@@ -379,8 +378,7 @@ TEST_F(DegradedModeTest, TimedKillFromThePlanFiresDuringTheRun) {
 
 TEST_F(DegradedModeTest, QuarantinedNodeIsExcludedFromOffenderScoring) {
   Config cfg = base_cfg();
-  cfg.governor.enabled = true;
-  cfg.governor.per_node = true;
+  cfg.governor.enabled = true;  // arms the per-node policy
   Djvm djvm(cfg);
   djvm.spawn_threads_round_robin(cfg.threads);
   const ClassId k = djvm.registry().register_class("Hot", 64);
@@ -415,7 +413,7 @@ TEST(TimelineFaults, DegradedEpochRendersFaultBlock) {
   Heap heap(reg, 1);
   SamplingPlan plan(heap);
   Governor gov(plan);
-  const std::string line = timeline_line(epoch, gov, reg, 4);
+  const std::string line = timeline_line(epoch, gov, reg);
   EXPECT_NE(line.find("\"faults\":{\"degraded\":true"), std::string::npos);
   EXPECT_NE(line.find("\"lost_nodes\":[1,3]"), std::string::npos);
   EXPECT_NE(line.find("\"oal\":12"), std::string::npos);

@@ -302,7 +302,7 @@ TEST_F(GosTest, PrefetchSkipsAlreadyCached) {
 TEST_F(GosTest, HomeMigrationMovesHome) {
   init();
   const ObjectId o = gos->alloc(klass, 0);
-  gos->migrate_home(o, 2);
+  gos->migrate_homes({&o, 1}, 2);
   EXPECT_EQ(heap->meta(o).home, 2);
   EXPECT_TRUE(gos->node_has_copy(2, o));
   gos->read(2, o);  // new home: no fault

@@ -97,19 +97,14 @@ TEST_F(GosEdgeTest, PhaseLabelsDelimitIntervalContext) {
   EXPECT_EQ(logs[0].intervals[0].end_pc, 8u);
 }
 
-TEST_F(GosEdgeTest, PiggybackDisabledChargesFullMessages) {
+TEST_F(GosEdgeTest, UnpiggybackedOalChargesFullMessage) {
   init(OalTransfer::kSend);
-  cfg.piggyback_oals = false;
-  gos.reset();  // before its plan (see init)
-  heap = std::make_unique<Heap>(reg, cfg.nodes);
-  plan = std::make_unique<SamplingPlan>(*heap);
-  net = std::make_unique<Network>(cfg.costs);
-  gos = std::make_unique<Gos>(*heap, *net, *plan, cfg);
-  gos->spawn_thread(1);
-  const ObjectId o = gos->alloc(klass, 1);
+  gos->set_coordinator(1);
+  const ObjectId o = gos->alloc(klass, 0);
   gos->read(0, o);
-  gos->barrier_all();
-  // Without piggybacking the OAL message pays its own header.
+  gos->barrier_all();  // barrier goes to master 0; coordinator is 1
+  // The sync message does not go to the coordinator, so the OAL cannot ride
+  // on it and pays its own header.
   EXPECT_GE(net->stats().bytes_of(MsgCategory::kOal),
             kIntervalHeaderWireBytes + kOalEntryWireBytes + kMessageHeaderBytes);
 }
@@ -145,7 +140,7 @@ TEST_F(GosEdgeTest, PrefetchEmptySetIsFree) {
 TEST_F(GosEdgeTest, HomeMigrationThenWriteFromNewHomeSendsNoDiff) {
   init();
   const ObjectId o = gos->alloc(klass, 0);
-  gos->migrate_home(o, 1);
+  gos->migrate_homes({&o, 1}, 1);
   gos->write(1, o);  // thread 1 runs on node 1 = the new home
   gos->release(1, LockId{1});
   EXPECT_EQ(gos->stats().diffs_sent, 0u);
@@ -154,7 +149,7 @@ TEST_F(GosEdgeTest, HomeMigrationThenWriteFromNewHomeSendsNoDiff) {
 TEST_F(GosEdgeTest, HomeMigrationOldHomeKeepsValidCopy) {
   init();
   const ObjectId o = gos->alloc(klass, 0);
-  gos->migrate_home(o, 1);
+  gos->migrate_homes({&o, 1}, 1);
   gos->read(0, o);  // old home node still holds the data
   EXPECT_EQ(gos->stats().object_faults, 0u);
 }

@@ -459,7 +459,7 @@ EndToEnd run_with_mid_run_home_migration(const IngestKnobs& ingest) {
     if (round == 2) {
       // Thread 0's lane now buffers closed-but-unpublished entries.  Move a
       // hot object's home and its reader's node out from under them.
-      djvm.gos().migrate_home(objs[0], 1);
+      djvm.gos().migrate_homes({&objs[0], 1}, 1);
       djvm.gos().move_thread(0, 1);
     }
     djvm.pump_daemon();
@@ -481,8 +481,8 @@ IngestKnobs splitty_geometry() {
 }
 
 TEST(GosIngest, PumpReportsRingGrowthAndBillsBackpressure) {
-  // Ring telemetry comes from the hub's counters, read once per epoch by
-  // the pump; every backpressure event is billed to the sample's
+  // Ring telemetry, loss included, comes from the hub's counters, read once
+  // per epoch by the pump; every backpressure event is billed to the sample's
   // rate-dependent bucket on top of the worker CPU the clocks carried, and
   // the application seconds are the clocks' growth less that CPU alone.
   Config cfg;
@@ -522,6 +522,10 @@ TEST(GosIngest, PumpReportsRingGrowthAndBillsBackpressure) {
     EXPECT_EQ(r.ring_backpressure,
               ring.backpressure_events - ring_then.backpressure_events);
     EXPECT_GT(r.ring_entries, 0u);
+    // Loss is what the lanes published and the pump's quiesced drain did
+    // not collect; parked arenas are drained too, so it stays 0.
+    EXPECT_EQ(r.ring_dropped, ring.entries_published - ring.entries_drained);
+    EXPECT_EQ(r.ring_dropped, 0u);
 
     const ProtocolStats& ps = djvm.gos().stats();
     const double worker =

@@ -1,6 +1,6 @@
 // Multi-tenant serving: the request-serving workload's determinism and
 // diurnal schedule, the TenantContext facade over Djvm, and the
-// ClusterCoordinator loop — shared meter namespacing,
+// ClusterCoordinator loop — per-tenant meters pooled into the cluster view,
 // per-epoch arbitration with leases pushed back into tenant governors,
 // borrow/reclaim across a traffic flip, and the degraded-cannot-borrow rule
 // riding the fault-injection substrate.
@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include "apps/request_serving.hpp"
 #include "cluster/coordinator.hpp"
@@ -109,7 +110,9 @@ TEST(TenantApi, ContextExposesIdentityAndAdoptsLeases) {
   EXPECT_DOUBLE_EQ(vm.governor().config().overhead_budget, 0.013);
 }
 
-TEST(ClusterCoordinator, SharedMeterKeepsTenantWindowsApart) {
+TEST(ClusterCoordinator, ClusterOverheadPoolsTheTenantsOwnMeters) {
+  constexpr std::size_t kWindow = 4;  // GovernorConfig::meter_window
+  constexpr int kRounds = 6;          // enough for the window to slide
   ClusterCoordinator cluster;
   TenantContext busy = cluster.add_tenant(tenant_config(0));
   cluster.add_tenant(tenant_config(1));
@@ -118,18 +121,31 @@ TEST(ClusterCoordinator, SharedMeterKeepsTenantWindowsApart) {
   cluster.vm(1).spawn_threads_round_robin(4);
   app.build(busy.vm());
 
-  for (int round = 0; round < 3; ++round) {
+  std::vector<ClusterCoordinator::ClusterEpoch> rounds;
+  for (int round = 0; round < kRounds; ++round) {
     app.serve_epoch(busy.vm());  // tenant 0 serves traffic
     quiet_epoch(cluster.vm(1));  // tenant 1 computes, profiles nothing
-    cluster.run_epoch();
+    rounds.push_back(cluster.run_epoch());
   }
-  const OverheadMeter& meter = cluster.meter();
-  // The busy tenant's signal lives in its own (tenant, node) windows: the
-  // idle tenant's zero-overhead epochs never dilute it.
-  EXPECT_GT(meter.rolling_fraction(0), 0.0);
-  EXPECT_DOUBLE_EQ(meter.rolling_fraction(1), 0.0);
-  // The unqualified view aggregates across tenants (the ceiling's view).
-  EXPECT_GT(meter.rolling_fraction(), 0.0);
+  // Each tenant's own meter holds its own epochs: the idle tenant's
+  // zero-overhead epochs never dilute the busy one's signal.
+  EXPECT_GT(busy.governor().meter().rolling_fraction(), 0.0);
+  EXPECT_DOUBLE_EQ(cluster.vm(1).governor().meter().rolling_fraction(), 0.0);
+
+  // Oracle: Σ profiling / Σ app over both tenants' samples from the last
+  // kWindow rounds, skipping epochs without application time.
+  const OverheadMeter& costs = busy.governor().meter();
+  double prof = 0.0, app_seconds = 0.0;
+  for (std::size_t r = rounds.size() - kWindow; r < rounds.size(); ++r) {
+    for (const EpochResult& e : rounds[r].tenants) {
+      if (e.sample.app_seconds <= 0.0) continue;
+      prof += costs.profiling_seconds(e.sample);
+      app_seconds += e.sample.app_seconds;
+    }
+  }
+  ASSERT_GT(app_seconds, 0.0);
+  EXPECT_GT(rounds.back().cluster_overhead, 0.0);
+  EXPECT_DOUBLE_EQ(rounds.back().cluster_overhead, prof / app_seconds);
 }
 
 TEST(ClusterCoordinator, ArbitratesBorrowsAndReclaimsAcrossATrafficFlip) {

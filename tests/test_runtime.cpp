@@ -122,14 +122,14 @@ TEST_F(RuntimeTest, IsValidObject) {
   EXPECT_FALSE(heap.is_valid_object(a + 1));
 }
 
-TEST_F(RuntimeTest, BytesAtNode) {
+TEST_F(RuntimeTest, AllocHomesPayloadAtNode) {
   const ClassId c = reg.register_class("X", 100);
-  heap.alloc(c, 0);
-  heap.alloc(c, 0);
-  heap.alloc(c, 1);
-  EXPECT_EQ(heap.bytes_at(0), 200u);
-  EXPECT_EQ(heap.bytes_at(1), 100u);
-  EXPECT_EQ(heap.bytes_at(3), 0u);
+  const ObjectId a = heap.alloc(c, 0);
+  const ObjectId b = heap.alloc(c, 1);
+  EXPECT_EQ(heap.meta(a).home, 0);
+  EXPECT_EQ(heap.meta(b).home, 1);
+  EXPECT_EQ(heap.meta(a).size_bytes, 100u);
+  EXPECT_EQ(heap.meta(b).size_bytes, 100u);
 }
 
 TEST_F(RuntimeTest, SetHome) {

@@ -368,7 +368,7 @@ class PropertyWorld {
       default: {  // home migration: the new home pays one re-key visit
         const ObjectId o = random_object();
         const NodeId from = heap_->meta(o).home;
-        gos_->migrate_home(o, node);
+        gos_->migrate_homes({&o, 1}, node);
         std::vector<std::uint64_t> want(kNodes, 0);
         if (from != node) want[node] = 1;
         check_bill(static_cast<std::size_t>(want[node]), want);

@@ -7,7 +7,6 @@
 // timeline line.
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <functional>
@@ -22,6 +21,7 @@
 
 #include "sampling_helpers.hpp"
 #include "snapshot_helpers.hpp"
+#include "temp_dir.hpp"
 
 namespace djvm {
 namespace {
@@ -716,16 +716,20 @@ TEST_F(SnapshotCompatTest, TruncatedOrBitFlippedV6IsRejected) {
 }
 
 TEST_F(SnapshotCompatTest, RecoverSnapshotSkipsCorruptCandidates) {
+  const TempDir dir("djvm_recover_");
+  const std::string good = dir.file("good.snap");
+  const std::string bad_path = dir.file("bad.snap");
+  const std::string v6_path = dir.file("v6.snap");
   Governor gov(plan);
   SquareMatrix tcm(2);
   tcm.at(0, 1) = 7.0;
-  ASSERT_TRUE(save_snapshot("/tmp/djvm_recover_good.snap", gov, tcm));
+  ASSERT_TRUE(save_snapshot(good, gov, tcm));
 
   // A corrupt "newest" snapshot: the good bytes with one bit flipped.
   std::vector<std::uint8_t> bad = encode_snapshot(gov, tcm);
   bad[bad.size() / 2] ^= 0x40;
   {
-    std::ofstream f("/tmp/djvm_recover_bad.snap", std::ios::binary);
+    std::ofstream f(bad_path, std::ios::binary);
     f.write(reinterpret_cast<const char*>(bad.data()),
             static_cast<std::streamsize>(bad.size()));
   }
@@ -736,7 +740,7 @@ TEST_F(SnapshotCompatTest, RecoverSnapshotSkipsCorruptCandidates) {
   const std::uint32_t six = 6;
   std::memcpy(v6.data() + 4, &six, sizeof(six));
   {
-    std::ofstream f("/tmp/djvm_recover_v6.snap", std::ios::binary);
+    std::ofstream f(v6_path, std::ios::binary);
     const std::vector<std::uint8_t> sealed = resealed(v6);
     f.write(reinterpret_cast<const char*>(sealed.data()),
             static_cast<std::streamsize>(sealed.size()));
@@ -747,9 +751,7 @@ TEST_F(SnapshotCompatTest, RecoverSnapshotSkipsCorruptCandidates) {
   Governor gov2(plan);
   SquareMatrix out;
   const auto picked = recover_snapshot(
-      {"/tmp/djvm_recover_missing.snap", "/tmp/djvm_recover_bad.snap",
-       "/tmp/djvm_recover_v6.snap", "/tmp/djvm_recover_good.snap"},
-      gov2, out);
+      {dir.file("missing.snap"), bad_path, v6_path, good}, gov2, out);
   ASSERT_TRUE(picked.has_value());
   EXPECT_EQ(*picked, 3u);
   EXPECT_DOUBLE_EQ(out.at(0, 1), 7.0);
@@ -757,15 +759,12 @@ TEST_F(SnapshotCompatTest, RecoverSnapshotSkipsCorruptCandidates) {
   // No valid candidate at all: recovery reports failure, state untouched.
   Governor gov3(plan);
   SquareMatrix out3;
-  EXPECT_FALSE(recover_snapshot({"/tmp/djvm_recover_bad.snap"}, gov3, out3)
-                   .has_value());
-  std::remove("/tmp/djvm_recover_good.snap");
-  std::remove("/tmp/djvm_recover_bad.snap");
-  std::remove("/tmp/djvm_recover_v6.snap");
+  EXPECT_FALSE(recover_snapshot({bad_path}, gov3, out3).has_value());
 }
 
 TEST_F(SnapshotCompatTest, RecoverTimelineDropsTornFinalLine) {
-  const std::string path = "/tmp/djvm_recover_timeline.jsonl";
+  const TempDir dir("djvm_recover_");
+  const std::string path = dir.file("timeline.jsonl");
   {
     std::ofstream f(path, std::ios::trunc);
     f << "{\"epoch\":0}\n{\"epoch\":1}\n{\"epoch\":2,\"trunc";  // torn tail
@@ -785,7 +784,6 @@ TEST_F(SnapshotCompatTest, RecoverTimelineDropsTornFinalLine) {
   lines = recover_timeline(path, &torn);
   EXPECT_FALSE(torn);
   EXPECT_EQ(lines.size(), 2u);
-  std::remove(path.c_str());
 }
 
 }  // namespace

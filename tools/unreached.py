@@ -21,6 +21,13 @@ reached if any unit ran it).  It prints:
 
 each with totals.  Only functions gcov instruments count: in an optimized
 build, a function inlined into every caller has no count of its own.
+
+With --expected FILE (tools/unreached-expected.txt, the reviewed list of
+functions nothing outside the unit tests is meant to reach), it also prints
+each function the listing reports that FILE does not name ("unexpected:")
+and each FILE entry the listing no longer reports ("stale:").  FILE holds one
+`<src/ path>  <demangled name>` per line, matched by path and name, not by
+line number; a line starting with `#` is a comment.
 Exit status is 0 whenever the listing was produced; it gates nothing.
 """
 
@@ -56,10 +63,32 @@ def find_gcno(dirs):
                     yield os.path.abspath(os.path.join(base, f))
 
 
-def main():
+def read_expected(lines):
+    """The (path, name) entries of an expected-list file's lines."""
+    entries = set()
+    for line in lines:
+        line = line.strip()
+        if line and not line.startswith("#"):
+            path, name = line.split(None, 1)
+            entries.add((path, name.strip()))
+    return entries
+
+
+def compare(cold, expected):
+    """(unexpected, stale): the (path, name) pairs of the listing's
+    (path, line, name) entries that `expected` lacks, and the `expected`
+    entries the listing lacks; each sorted."""
+    reported = {(path, name) for path, _, name in cold}
+    return sorted(reported - expected), sorted(expected - reported)
+
+
+def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("build_dirs", nargs="+", help="coverage build trees")
-    build_dirs = ap.parse_args().build_dirs
+    ap.add_argument("--expected", metavar="FILE",
+                    help="reviewed list of functions expected to stay unreached")
+    args = ap.parse_args(argv)
+    build_dirs = args.build_dirs
 
     units = set()   # src/ .cpp files some tree compiled and gcov read
     functions = {}  # (path, line, symbol) -> [demangled, summed count]
@@ -105,6 +134,16 @@ def main():
     print(f"src/ functions never executed: {len(cold)} of {len(functions)}")
     for path, line, name in cold:
         print(f"  {path}:{line}  {name}")
+
+    if args.expected:
+        with open(args.expected) as f:
+            unexpected, stale = compare(cold, read_expected(f))
+        print(f"reported but not in {args.expected}: {len(unexpected)}")
+        for path, name in unexpected:
+            print(f"  unexpected: {path}  {name}")
+        print(f"in {args.expected} but no longer reported: {len(stale)}")
+        for path, name in stale:
+            print(f"  stale: {path}  {name}")
     return 0
 
 
