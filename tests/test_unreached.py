@@ -60,11 +60,11 @@ class UnreachedExpectedTest(unittest.TestCase):
             ("src/governor/snapshot.cpp", 12, "djvm::SnapshotWriter::completed() const"),
             ("src/dsm/gos.cpp", 7,
              "djvm::Gos::Hooks::on_access(unsigned int, unsigned int, bool)"),
-            ("src/runtime/heap.cpp", 53, "djvm::Heap::bytes_at(unsigned int) const"),
+            ("src/runtime/heap.cpp", 53, "djvm::Heap::orphan_helper(unsigned int) const"),
         ]
         unexpected, stale = unreached.compare(cold, self.expected)
         self.assertEqual(unexpected,
-                         [("src/runtime/heap.cpp", "djvm::Heap::bytes_at(unsigned int) const")])
+                         [("src/runtime/heap.cpp", "djvm::Heap::orphan_helper(unsigned int) const")])
         self.assertEqual(stale, [])
 
     def test_reached_or_deleted_entry_is_stale(self):
