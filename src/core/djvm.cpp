@@ -53,6 +53,8 @@ EpochCounters growth(const EpochCounters& now, const EpochCounters& then) {
       grown(now.ingest.arenas_published, then.ingest.arenas_published);
   d.ingest.entries_published =
       grown(now.ingest.entries_published, then.ingest.entries_published);
+  d.ingest.entries_drained =
+      grown(now.ingest.entries_drained, then.ingest.entries_drained);
   d.ingest.backpressure_events =
       grown(now.ingest.backpressure_events, then.ingest.backpressure_events);
   return d;
@@ -285,10 +287,10 @@ EpochResult Djvm::run_epoch(const EpochRequest& request) {
   result.ring_published = grown.ingest.arenas_published;
   result.ring_entries = grown.ingest.entries_published;
   result.ring_backpressure = grown.ingest.backpressure_events;
-  // The pump drained a quiesced hub, so every entry the lanes ever published
-  // has been drained unless one was lost.
+  // The pump drained a quiesced hub, so every entry the lanes published this
+  // epoch has been drained unless one was lost.
   result.ring_dropped =
-      now.ingest.entries_published - now.ingest.entries_drained;
+      grown.ingest.entries_published - grown.ingest.entries_drained;
   if (fault_injector_) {
     // Name the nodes whose profiling contribution this epoch's map is
     // missing: dead nodes lost their un-shipped slices (see pump_daemon).

@@ -141,8 +141,8 @@ class Djvm final : public Gos::Hooks {
   /// sample — cluster aggregate plus one per-node slice per worker node —
   /// and runs one daemon epoch under the governor.  The same growth fills
   /// the result's traffic, fault and ring telemetry; ring_dropped is the
-  /// hub's published-but-never-drained entries after the pump (0 unless an
-  /// entry was lost).  Call once per epoch (e.g. after each barrier round).
+  /// epoch's published-but-never-drained entries after the pump (0 unless
+  /// an entry was lost).  Call once per epoch (e.g. after each barrier round).
   /// With Config::export_.snapshot_path set, the epoch's governor state +
   /// TCM are handed to the async snapshot writer afterwards.
   ///

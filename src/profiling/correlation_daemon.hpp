@@ -85,10 +85,11 @@ struct EpochResult {
   /// by the pump): arenas published and entries carried by the lanes, and
   /// publishes that found their outbound ring full (the arena is then
   /// parked producer-side and re-offered — a counted stall).
-  /// ring_dropped is the hub's entries_published - entries_drained right
-  /// after the pump's quiesced drain: the ingest path has no drop branch,
-  /// so it is structurally zero, and a nonzero value in a timeline is a
-  /// bug, not a tuning problem.
+  /// ring_dropped is this epoch's growth in the hub's entries_published
+  /// less its growth in entries_drained, read right after the pump's
+  /// quiesced drain, so a lost entry counts once, in the epoch that lost
+  /// it.  The ingest path has no drop branch, so it is structurally zero,
+  /// and a nonzero value in a timeline is a bug, not a tuning problem.
   std::uint64_t ring_published = 0;
   std::uint64_t ring_entries = 0;
   std::uint64_t ring_backpressure = 0;

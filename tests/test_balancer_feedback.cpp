@@ -3,6 +3,8 @@
 // aggregate built from it.
 #include <gtest/gtest.h>
 
+#include <numeric>
+
 #include "balance/balancer_feedback.hpp"
 
 #include "ingest_helpers.hpp"
@@ -40,6 +42,12 @@ TEST(TcmClassAttribution, SplitsPairMassByClassAgainstPlacement) {
   EXPECT_DOUBLE_EQ(cells.cut_bytes[7], 0.0);
   EXPECT_DOUBLE_EQ(cells.cut_bytes[9], 40.0);
   EXPECT_DOUBLE_EQ(cells.local_bytes[9], 0.0);
+  // No other class carries pair mass: both splits over every class add up
+  // to the two pairs' 100 + 40.
+  const double pair_mass =
+      std::accumulate(cells.cut_bytes.begin(), cells.cut_bytes.end(), 0.0) +
+      std::accumulate(cells.local_bytes.begin(), cells.local_bytes.end(), 0.0);
+  EXPECT_DOUBLE_EQ(pair_mass, 140.0);
   // Both endpoints of each pair carry the class's thread mass.
   EXPECT_DOUBLE_EQ(cells.thread_mass[7][0], 100.0);
   EXPECT_DOUBLE_EQ(cells.thread_mass[7][1], 100.0);

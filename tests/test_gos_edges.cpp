@@ -97,7 +97,7 @@ TEST_F(GosEdgeTest, PhaseLabelsDelimitIntervalContext) {
   EXPECT_EQ(logs[0].intervals[0].end_pc, 8u);
 }
 
-TEST_F(GosEdgeTest, UnpiggybackedOalChargesFullMessage) {
+TEST_F(GosEdgeTest, CoordinatorOffMasterStillReceivesOals) {
   init(OalTransfer::kSend);
   gos->set_coordinator(1);
   const ObjectId o = gos->alloc(klass, 0);
@@ -107,15 +107,6 @@ TEST_F(GosEdgeTest, UnpiggybackedOalChargesFullMessage) {
   // on it and pays its own header.
   EXPECT_GE(net->stats().bytes_of(MsgCategory::kOal),
             kIntervalHeaderWireBytes + kOalEntryWireBytes + kMessageHeaderBytes);
-}
-
-TEST_F(GosEdgeTest, CoordinatorOffMasterStillReceivesOals) {
-  init(OalTransfer::kSend);
-  gos->set_coordinator(1);
-  const ObjectId o = gos->alloc(klass, 0);
-  gos->read(0, o);
-  gos->barrier_all();  // barrier goes to master 0; coordinator is 1
-  EXPECT_GT(net->stats().bytes_of(MsgCategory::kOal), 0u);
   const std::vector<OalArena> logs = drain_hub(gos->ingest());
   ASSERT_EQ(logs.size(), 1u);
   EXPECT_EQ(logs[0].intervals.size(), 1u);

@@ -522,9 +522,11 @@ TEST(GosIngest, PumpReportsRingGrowthAndBillsBackpressure) {
     EXPECT_EQ(r.ring_backpressure,
               ring.backpressure_events - ring_then.backpressure_events);
     EXPECT_GT(r.ring_entries, 0u);
-    // Loss is what the lanes published and the pump's quiesced drain did
-    // not collect; parked arenas are drained too, so it stays 0.
-    EXPECT_EQ(r.ring_dropped, ring.entries_published - ring.entries_drained);
+    // Loss is what the lanes published this epoch and the pump's quiesced
+    // drain did not collect; parked arenas are drained too, so it stays 0.
+    EXPECT_EQ(r.ring_dropped,
+              (ring.entries_published - ring_then.entries_published) -
+                  (ring.entries_drained - ring_then.entries_drained));
     EXPECT_EQ(r.ring_dropped, 0u);
 
     const ProtocolStats& ps = djvm.gos().stats();

@@ -22,12 +22,13 @@ reached if any unit ran it).  It prints:
 each with totals.  Only functions gcov instruments count: in an optimized
 build, a function inlined into every caller has no count of its own.
 
-With --expected FILE (tools/unreached-expected.txt, the reviewed list of
-functions nothing outside the unit tests is meant to reach), it also prints
-each function the listing reports that FILE does not name ("unexpected:")
-and each FILE entry the listing no longer reports ("stale:").  FILE holds one
-`<src/ path>  <demangled name>` per line, matched by path and name, not by
-line number; a line starting with `#` is a comment.
+It then compares the functions with unreached-expected.txt beside this
+script, the reviewed list of functions nothing outside the unit tests is
+meant to reach: it prints each function the listing reports that the list
+does not name ("unexpected:") and each list entry the listing no longer
+reports ("stale:").  The list holds one `<src/ path>  <demangled name>` per
+line, matched by path and name, not by line number; a line starting with
+`#` is a comment.
 Exit status is 0 whenever the listing was produced; it gates nothing.
 """
 
@@ -37,8 +38,9 @@ import os
 import subprocess
 import sys
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.realpath(__file__))),
-                   "src") + os.sep
+TOOLS = os.path.dirname(os.path.realpath(__file__))
+SRC = os.path.join(os.path.dirname(TOOLS), "src") + os.sep
+EXPECTED = os.path.join(TOOLS, "unreached-expected.txt")
 
 
 def gcov_json(gcno):
@@ -82,13 +84,10 @@ def compare(cold, expected):
     return sorted(reported - expected), sorted(expected - reported)
 
 
-def main(argv=None):
+def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("build_dirs", nargs="+", help="coverage build trees")
-    ap.add_argument("--expected", metavar="FILE",
-                    help="reviewed list of functions expected to stay unreached")
-    args = ap.parse_args(argv)
-    build_dirs = args.build_dirs
+    build_dirs = ap.parse_args().build_dirs
 
     units = set()   # src/ .cpp files some tree compiled and gcov read
     functions = {}  # (path, line, symbol) -> [demangled, summed count]
@@ -135,15 +134,15 @@ def main(argv=None):
     for path, line, name in cold:
         print(f"  {path}:{line}  {name}")
 
-    if args.expected:
-        with open(args.expected) as f:
-            unexpected, stale = compare(cold, read_expected(f))
-        print(f"reported but not in {args.expected}: {len(unexpected)}")
-        for path, name in unexpected:
-            print(f"  unexpected: {path}  {name}")
-        print(f"in {args.expected} but no longer reported: {len(stale)}")
-        for path, name in stale:
-            print(f"  stale: {path}  {name}")
+    with open(EXPECTED) as f:
+        unexpected, stale = compare(cold, read_expected(f))
+    listed = show(EXPECTED)
+    print(f"reported but not in {listed}: {len(unexpected)}")
+    for path, name in unexpected:
+        print(f"  unexpected: {path}  {name}")
+    print(f"in {listed} but no longer reported: {len(stale)}")
+    for path, name in stale:
+        print(f"  stale: {path}  {name}")
     return 0
 
 
